@@ -484,8 +484,9 @@ pub fn trace_record(name: &str, opts: &RunOpts, w: &mut dyn Write) -> Result<(),
     Ok(())
 }
 
-/// Load a trace file and rebind it to freshly-prepared suite kernels.
-fn load_replayer(file: &str) -> Result<fpx_trace::TraceReplayer, CliError> {
+/// Load a trace file and rebind it to freshly-prepared suite kernels;
+/// also returns the file's length in bytes.
+fn load_replayer(file: &str) -> Result<(fpx_trace::TraceReplayer, u64), CliError> {
     let bytes = std::fs::read(file).map_err(|e| format!("{file}: {e}"))?;
     let trace = fpx_trace::Trace::from_bytes(&bytes).map_err(|e| format!("{file}: {e}"))?;
     let program = fpx_suite::find(&trace.program)
@@ -500,16 +501,18 @@ fn load_replayer(file: &str) -> Result<fpx_trace::TraceReplayer, CliError> {
         .into_iter()
         .map(|(k, _)| k)
         .collect();
-    fpx_trace::TraceReplayer::new(trace, &kernels).map_err(|e| format!("{file}: {e}").into())
+    let rep = fpx_trace::TraceReplayer::new(trace, &kernels).map_err(|e| format!("{file}: {e}"))?;
+    Ok((rep, bytes.len() as u64))
 }
 
 /// `gpu-fpx trace replay <file>`: drive a tool from the recording,
 /// without re-simulating, and print its report plus replay metrics.
 pub fn trace_replay(file: &str, opts: &RunOpts, w: &mut dyn Write) -> Result<(), CliError> {
-    let rep = load_replayer(file)?;
+    let (rep, bytes) = load_replayer(file)?;
     let base: u64 = rep.trace().launches.iter().map(|l| l.plain_cycles).sum();
     let wd = fpx_trace::hang_budget(base, RunnerConfig::default().hang_slowdown_limit);
     let mut m = fpx_trace::Metrics::for_trace(rep.trace());
+    m.bytes = bytes;
     let obs = obs_from(opts);
     let prof = prof_from(opts);
     let driver = prof.span(ProfPhase::Driver);
@@ -1548,6 +1551,12 @@ mod tests {
         assert!(s.contains("row: [0, 0, 0, 0, 7, 1, 0, 1]"), "{s}");
         assert!(s.contains("GT hits / misses"), "{s}");
         assert!(s.contains("replay throughput"), "{s}");
+        let size = std::fs::metadata(&tpath).unwrap().len();
+        let bytes = s
+            .lines()
+            .find_map(|l| l.trim_start().strip_prefix("bytes "))
+            .map(str::trim);
+        assert_eq!(bytes, Some(size.to_string().as_str()), "{s}");
 
         let eopts = RunOpts {
             out: Some(jpath.to_string_lossy().into_owned()),

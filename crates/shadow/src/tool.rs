@@ -3,14 +3,18 @@
 //!
 //! ## Shadow lifetime
 //!
-//! A shadow slot is keyed ⟨block, warp, lane, register⟩ and records the
-//! raw real bits it shadowed. On every read the slot self-validates:
-//! if the register's current bits differ from the recorded ones, some
-//! un-shadowed producer (a memory load, a type convert, an integer op)
-//! overwrote the register, and the slot heals to the widened real value
-//! with the divergence flag cleared. Memory ops therefore *lose*
-//! shadows by design — the file shadows registers, not memory — which
-//! keeps the state strictly per-block and the reports deterministic.
+//! The shadow register file holds one 32-lane slot row per ⟨block, warp,
+//! register⟩, laid out like the simulator's `WarpLanes` (one array per
+//! field, lane-indexed), so a warp-instruction probes the file once per
+//! source and once for its destination, not once per lane. Each lane's
+//! slot records the width and raw real bits it shadowed. On every read
+//! the slot self-validates: if the register's current bits differ from
+//! the recorded ones, some un-shadowed producer (a memory load, a type
+//! convert, an integer op) overwrote the register, and the slot heals to
+//! the widened real value with the divergence flag cleared. Memory ops
+//! therefore *lose* shadows by design — the file shadows registers, not
+//! memory — which keeps the state strictly per-block and the reports
+//! deterministic.
 //!
 //! ## Determinism
 //!
@@ -189,27 +193,67 @@ fn parse_generic(s: &str, wide: bool) -> Option<f64> {
     Some(if wide { v } else { (v as f32) as f64 })
 }
 
-/// One shadow register slot.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    /// Register width this slot shadows (4 = one reg, 8 = a pair).
-    width: u8,
+/// Lanes per warp: the width of a slot row and of an operand column.
+const LANES: usize = fpx_sim::WARP_SIZE as usize;
+
+/// One ⟨warp, register⟩ row of the shadow register file: a slot per
+/// lane, one array per field.
+#[derive(Debug, Default)]
+struct SlotRow {
+    /// Register width each lane's slot shadows (4 = one reg, 8 = a
+    /// pair, 0 = never written).
+    width: [u8; LANES],
     /// The raw real bits at the time the shadow was written; a mismatch
     /// on read means an un-shadowed producer overwrote the register and
     /// the slot heals.
-    real: u64,
-    shadow: f64,
-    diverged: bool,
+    real: [u64; LANES],
+    shadow: [f64; LANES],
+    /// Bit `lane` set: that lane's shadow had diverged.
+    diverged: u32,
 }
 
-type LaneOperands = Vec<(f64, bool)>;
+impl SlotRow {
+    /// The lane's shadow and divergence flag, if its slot still shadows
+    /// `raw` at `width`.
+    #[inline]
+    fn read(&self, lane: u32, width: u8, raw: u64) -> Option<(f64, bool)> {
+        let l = lane as usize;
+        (self.width[l] == width && self.real[l] == raw)
+            .then(|| (self.shadow[l], self.diverged & (1 << lane) != 0))
+    }
 
-/// Per-block shadow state: the register file plus the pre-execution
-/// operand capture for shared-dest instructions (`FADD R6, R1, R6`).
+    #[inline]
+    fn write(&mut self, lane: u32, width: u8, raw: u64, shadow: f64, diverged: bool) {
+        let l = lane as usize;
+        self.width[l] = width;
+        self.real[l] = raw;
+        self.shadow[l] = shadow;
+        self.diverged = self.diverged & !(1 << lane) | (diverged as u32) << lane;
+    }
+}
+
+/// The sources of one warp-instruction, resolved for its guarded lanes
+/// and stored positionally: `val[s][i]` is source `s` of the `i`-th
+/// guarded lane, and bit `i` of `diverged` is set when any of that
+/// lane's sources carried a divergent shadow.
+#[derive(Debug, Default)]
+struct Operands {
+    val: [[f64; LANES]; 3],
+    diverged: u32,
+}
+
+/// Per-block shadow state: the register file plus one reused operand
+/// array. A warp-instruction's Before and After calls run back to back
+/// (no other warp of the block runs between them), so the array carries
+/// the pre-execution capture of a shared-dest site (`FADD R6, R1, R6`)
+/// from its Before call to its After call; otherwise each After call
+/// resolves its own sources into it.
 #[derive(Debug, Default)]
 struct BlockShadow {
-    slots: HashMap<(u32, u32, Reg), Slot>,
-    pending: HashMap<u32, Vec<LaneOperands>>,
+    rows: HashMap<(u32, Reg), SlotRow>,
+    ops: Operands,
+    /// The warp whose Before capture `ops` holds, until its After call.
+    pending: Option<u32>,
 }
 
 struct ShadowShared {
@@ -254,49 +298,42 @@ struct ShadowFn {
     args: u32,
 }
 
-fn resolve_lane(
-    bs: &BlockShadow,
+/// Resolve every source of `spec` for the guarded lanes into `ops`,
+/// reading each source register's slot row once.
+fn resolve(
+    rows: &HashMap<(u32, Reg), SlotRow>,
     spec: &ShadowSpec,
     ctx: &InjectionCtx<'_, '_>,
-    lane: u32,
-) -> LaneOperands {
-    spec.srcs
-        .iter()
-        .map(|s| match s {
+    ops: &mut Operands,
+) {
+    let wide = spec.wide();
+    ops.diverged = 0;
+    for (col, src) in ops.val.iter_mut().zip(&spec.srcs) {
+        match *src {
             SrcSpec::Reg { num, neg } => {
-                let (sh, div) = if spec.wide() {
-                    let raw = ctx.lanes.reg_pair(lane, *num);
-                    match bs.slots.get(&(ctx.warp, lane, *num)) {
-                        Some(sl) if sl.width == 8 && sl.real == raw => (sl.shadow, sl.diverged),
-                        _ => (rpc_truncate(f64::from_bits(raw)), false),
-                    }
-                } else {
-                    let raw = ctx.lanes.reg(lane, *num);
-                    match bs.slots.get(&(ctx.warp, lane, *num)) {
-                        Some(sl) if sl.width == 4 && sl.real == raw as u64 => {
-                            (sl.shadow, sl.diverged)
-                        }
-                        _ => (f32::from_bits(raw) as f64, false),
-                    }
-                };
-                (if *neg { -sh } else { sh }, div)
-            }
-            SrcSpec::Const(v) => (*v, false),
-            SrcSpec::CBank(c) => {
-                if spec.wide() {
-                    (
-                        rpc_truncate(f64::from_bits(ctx.cbanks.read_u64(c.bank, c.offset))),
-                        false,
-                    )
-                } else {
-                    (
-                        f32::from_bits(ctx.cbanks.read_u32(c.bank, c.offset)) as f64,
-                        false,
-                    )
+                let row = rows.get(&(ctx.warp, num));
+                for (i, lane) in lanes_of(ctx.guarded_mask).enumerate() {
+                    let (sh, div) = if wide {
+                        let raw = ctx.lanes.reg_pair(lane, num);
+                        row.and_then(|r| r.read(lane, 8, raw))
+                            .unwrap_or((rpc_truncate(f64::from_bits(raw)), false))
+                    } else {
+                        let raw = ctx.lanes.reg(lane, num);
+                        row.and_then(|r| r.read(lane, 4, raw as u64))
+                            .unwrap_or((f32::from_bits(raw) as f64, false))
+                    };
+                    col[i] = if neg { -sh } else { sh };
+                    ops.diverged |= (div as u32) << i;
                 }
             }
-        })
-        .collect()
+            SrcSpec::Const(v) => col.fill(v),
+            SrcSpec::CBank(c) => col.fill(if wide {
+                rpc_truncate(f64::from_bits(ctx.cbanks.read_u64(c.bank, c.offset)))
+            } else {
+                f32::from_bits(ctx.cbanks.read_u32(c.bank, c.offset)) as f64
+            }),
+        }
+    }
 }
 
 /// Exact-precision shadow of a MUFU approximation. The SFU always
@@ -320,17 +357,19 @@ fn mufu_shadow(f: MufuFunc, x: f64) -> f64 {
 }
 
 impl ShadowFn {
-    /// Compute the shadow result for one lane; returns the result and
-    /// the add/sub addend pair for cancellation shape detection.
+    /// Compute the shadow result for `lane`, the `i`-th guarded lane;
+    /// returns the result and the add/sub addend pair for cancellation
+    /// shape detection.
     fn shadow_result(
         &self,
         ctx: &InjectionCtx<'_, '_>,
         lane: u32,
-        ops: &[(f64, bool)],
+        ops: &Operands,
+        i: usize,
     ) -> (f64, Option<(f64, f64)>) {
         let spec = &self.spec;
         let narrow_ftz = spec.ftz && !spec.wide();
-        let v = |i: usize| ops[i].0;
+        let v = |s: usize| ops.val[s][i];
         let (s, addends) = match spec.op {
             ShadowOp::Add => {
                 let (a, b) = if narrow_ftz {
@@ -394,26 +433,22 @@ impl DeviceFn for ShadowFn {
             // Pre-execution operand capture for shared-dest sites: the
             // source shadows must be read before the result overwrites
             // the aliased register.
-            let ops: Vec<LaneOperands> = lanes_of(ctx.guarded_mask)
-                .map(|lane| resolve_lane(bs, spec, ctx, lane))
-                .collect();
-            bs.pending.insert(ctx.warp, ops);
+            resolve(&bs.rows, spec, ctx, &mut bs.ops);
+            bs.pending = Some(ctx.warp);
             return;
         }
 
-        let pending = bs.pending.remove(&ctx.warp);
+        if bs.pending.take() != Some(ctx.warp) {
+            resolve(&bs.rows, spec, ctx, &mut bs.ops);
+        }
+        let ops = &bs.ops;
+        let width = if spec.wide() { 8 } else { 4 };
+        let row = bs.rows.entry((ctx.warp, spec.dest)).or_default();
         let mut comparisons = 0u64;
         let mut record: Option<[u8; REC_LEN]> = None;
         for (i, lane) in lanes_of(ctx.guarded_mask).enumerate() {
-            let ops = match &pending {
-                Some(v) => match v.get(i) {
-                    Some(ops) => ops.clone(),
-                    None => continue,
-                },
-                None => resolve_lane(bs, spec, ctx, lane),
-            };
-            let (shadow, addends) = self.shadow_result(ctx, lane, &ops);
-            let src_diverged = ops.iter().any(|(_, d)| *d);
+            let (shadow, addends) = self.shadow_result(ctx, lane, ops, i);
+            let src_diverged = ops.diverged & (1 << i) != 0;
 
             let (real_bits, real) = if spec.wide() {
                 let b = ctx.lanes.reg_pair(lane, spec.dest);
@@ -436,15 +471,7 @@ impl DeviceFn for ShadowFn {
             } else {
                 real
             };
-            bs.slots.insert(
-                (ctx.warp, lane, spec.dest),
-                Slot {
-                    width: if spec.wide() { 8 } else { 4 },
-                    real: real_bits,
-                    shadow: new_shadow,
-                    diverged: dest_diverged,
-                },
-            );
+            row.write(lane, width, real_bits, new_shadow, dest_diverged);
 
             let state = match (dest_diverged, src_diverged) {
                 (true, false) => FlowState::Appearance,
@@ -758,6 +785,83 @@ mod tests {
             "{:?}",
             rep.findings
         );
+    }
+
+    #[test]
+    fn predicated_shared_dest_captures_only_guarded_lanes() {
+        // R2 diverges on every lane; `@!P0 FADD R2, R2, -1.0` then runs
+        // on lanes ≥ 16 only. Its Before capture must line up with those
+        // lanes (re-converging them: disappearance at lane 16) and leave
+        // lanes < 16 divergent, so the FMUL propagates from lane 0.
+        let rep = run(r#"
+.kernel k
+    S2R R0, SR_TID.X ;
+    ISETP.LT.AND P0, R0, 0x10 ;
+    MOV32I R1, 0x3f800000 ;
+    MOV32I R4, 0x30000000 ;
+    FADD R1, R1, R4 ;
+    FADD R2, R1, -1.0 ;
+    @!P0 FADD R2, R2, -1.0 ;
+    FMUL R3, R2, 2.0 ;
+    EXIT ;
+"#);
+        let got: Vec<(FlowState, u8)> = rep.findings.iter().map(|f| (f.state, f.lane)).collect();
+        assert_eq!(
+            got,
+            vec![
+                (FlowState::Appearance, 0),
+                (FlowState::Disappearance, 16),
+                (FlowState::Propagation, 0),
+            ],
+            "{:?}",
+            rep.findings
+        );
+        assert_eq!(rep.findings[0].kind, Some(DivergenceKind::Cancellation));
+        assert_eq!(rep.findings[1].kind, None);
+        // Three full-warp sites plus the 16 guarded lanes.
+        assert_eq!(rep.comparisons, 3 * 32 + 16);
+    }
+
+    #[test]
+    fn rpc_shared_pair_dest_reads_pre_execution_sources() {
+        // R4:R4+1 is both source and destination of the DADD. Lanes ≥ 16
+        // hold -1.0, and R6 is 1 + 2^-40 whose truncated shadow is 1.0:
+        // only the Before capture sees -1.0 + 1.0 = 0 in shadow against
+        // a real 2^-40, a cancellation, which the DMUL then propagates.
+        let cfg = ShadowConfig {
+            mode: ShadowMode::Rpc,
+            ..ShadowConfig::default()
+        };
+        let rep = run_with(
+            cfg,
+            r#"
+.kernel k
+    S2R R0, SR_TID.X ;
+    ISETP.LT.AND P0, R0, 0x10 ;
+    MOV32I R6, 0x0 ;
+    MOV32I R7, 0x3d700000 ;
+    DADD R6, R6, 1.0 ;
+    MOV32I R4, 0x0 ;
+    MOV32I R5, 0x3ff00000 ;
+    @!P0 MOV32I R5, 0xbff00000 ;
+    DADD R4, R4, R6 ;
+    DMUL R8, R4, 2.0 ;
+    EXIT ;
+"#,
+            vec![],
+        );
+        let got: Vec<(FlowState, u8)> = rep.findings.iter().map(|f| (f.state, f.lane)).collect();
+        assert_eq!(
+            got,
+            vec![(FlowState::Appearance, 16), (FlowState::Propagation, 16)],
+            "{:?}",
+            rep.findings
+        );
+        assert_eq!(rep.findings[0].kind, Some(DivergenceKind::Cancellation));
+        assert!(rep.findings[0].wide);
+        assert_eq!(rep.findings[0].real(), 2.0f64.powi(-40));
+        assert_eq!(rep.findings[0].shadow(), 0.0);
+        assert_eq!(rep.comparisons, 3 * 32);
     }
 
     #[test]

@@ -301,28 +301,26 @@ impl WarpExec<'_, '_> {
     }
 
     fn run_injections(&mut self, pc: u32, when: When, exec_mask: u32, guarded_mask: u32) {
-        // Indexed loop instead of iterator: the callback needs `&mut self`
-        // fields, so we clone the (cheap, Arc-based) injection handles.
-        let n = self.code.injections[pc as usize].len();
-        for i in 0..n {
-            let inj = self.code.injections[pc as usize][i].clone();
+        // `code` is a shared reference copied out of `self`: iterating it
+        // leaves `self`'s fields free for the callbacks' `&mut` borrows.
+        let code = self.code;
+        for inj in &code.injections[pc as usize] {
             if inj.when != when {
                 continue;
             }
-            let call_cycles = self.cost.injected_call
-                + self.cost.injected_arg * inj.func.num_runtime_args() as u64;
+            let call_cycles = self.cost.injected_call + self.cost.injected_arg * inj.args() as u64;
             self.clock.charge(call_cycles);
             self.stats.injected_calls += 1;
             self.stats.injected_cycles += call_cycles;
-            if inj.func.is_shadow() {
+            if inj.is_shadow() {
                 self.stats.shadow_calls += 1;
                 self.stats.shadow_cycles += call_cycles;
-            } else if inj.func.is_coach() {
+            } else if inj.is_coach() {
                 self.stats.coach_calls += 1;
                 self.stats.coach_cycles += call_cycles;
             }
             let mut ctx = InjectionCtx {
-                kernel_name: &self.code.code.name,
+                kernel_name: &code.code.name,
                 launch_id: self.launch_id,
                 pc,
                 block: self.ids.block,

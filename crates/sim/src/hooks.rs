@@ -411,12 +411,37 @@ pub trait DeviceFn: Send + Sync {
     }
 }
 
-/// One injection attached to one instruction.
+/// One injection attached to one instruction. The function's
+/// runtime-argument count and profiling class are read once, when it is
+/// attached, so per-call dispatch reads plain fields.
 #[derive(Clone)]
 pub struct Injection {
     pub when: When,
     pub phase: Phase,
     pub func: Arc<dyn DeviceFn>,
+    args: u32,
+    is_shadow: bool,
+    is_coach: bool,
+}
+
+impl Injection {
+    /// `func.num_runtime_args()`, read at attach time.
+    #[inline]
+    pub fn args(&self) -> u32 {
+        self.args
+    }
+
+    /// `func.is_shadow()`, read at attach time.
+    #[inline]
+    pub fn is_shadow(&self) -> bool {
+        self.is_shadow
+    }
+
+    /// `func.is_coach()`, read at attach time.
+    #[inline]
+    pub fn is_coach(&self) -> bool {
+        self.is_coach
+    }
 }
 
 /// A kernel together with its (possibly empty) instrumentation.
@@ -459,7 +484,19 @@ impl InstrumentedCode {
                 .position(|i| i.phase == Phase::Observe)
                 .unwrap_or(slot.len()),
         };
-        slot.insert(pos, Injection { when, phase, func });
+        let (args, is_shadow, is_coach) =
+            (func.num_runtime_args(), func.is_shadow(), func.is_coach());
+        slot.insert(
+            pos,
+            Injection {
+                when,
+                phase,
+                func,
+                args,
+                is_shadow,
+                is_coach,
+            },
+        );
     }
 
     /// Total number of attached injections (JIT cost scales with this).

@@ -294,15 +294,15 @@ impl TraceReplayer {
                         if inj.when != v.when {
                             continue;
                         }
-                        let call_cycles = cost.injected_call
-                            + cost.injected_arg * inj.func.num_runtime_args() as u64;
+                        let call_cycles =
+                            cost.injected_call + cost.injected_arg * inj.args() as u64;
                         clock.charge(call_cycles);
                         inj_calls += 1;
                         inj_cycles += call_cycles;
-                        if inj.func.is_shadow() {
+                        if inj.is_shadow() {
                             shadow_calls += 1;
                             shadow_cycles += call_cycles;
-                        } else if inj.func.is_coach() {
+                        } else if inj.is_coach() {
                             coach_calls += 1;
                             coach_cycles += call_cycles;
                         }
