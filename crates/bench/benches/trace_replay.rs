@@ -23,9 +23,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fpx_sass::kernel::KernelCode;
-use fpx_suite::runner::{self, RunnerConfig, Tool};
+use fpx_suite::runner::{self, hang_budget, RunnerConfig, Tool};
 use fpx_suite::Program;
-use fpx_trace::{hang_budget, record, Trace, TraceReplayer};
+use fpx_trace::{record, Trace, TraceReplayer};
 use gpu_fpx::detector::{Detector, DetectorConfig};
 use std::sync::Arc;
 

@@ -16,8 +16,8 @@
 //! replay's launch-grained cut-off cycles (see `fpx_trace::replay`).
 
 use fpx_bench::{print_table, MetricsSink};
-use fpx_suite::runner::{self, geomean, RunnerConfig, Tool};
-use fpx_trace::{hang_budget, record, TraceReplayer};
+use fpx_suite::runner::{self, geomean, hang_budget, RunnerConfig, Tool};
+use fpx_trace::{record, TraceReplayer};
 use gpu_fpx::detector::{Detector, DetectorConfig};
 use std::sync::Arc;
 

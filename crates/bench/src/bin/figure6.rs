@@ -9,8 +9,8 @@
 
 use fpx_bench::{bar, MetricsSink};
 use fpx_suite::registry;
-use fpx_suite::runner::{self, geomean, RunnerConfig, Tool};
-use fpx_trace::{hang_budget, record, TraceReplayer};
+use fpx_suite::runner::{self, geomean, hang_budget, RunnerConfig, Tool};
+use fpx_trace::{record, TraceReplayer};
 use gpu_fpx::detector::{Detector, DetectorConfig};
 use std::sync::Arc;
 

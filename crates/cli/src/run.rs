@@ -510,7 +510,7 @@ fn load_replayer(file: &str) -> Result<(fpx_trace::TraceReplayer, u64), CliError
 pub fn trace_replay(file: &str, opts: &RunOpts, w: &mut dyn Write) -> Result<(), CliError> {
     let (rep, bytes) = load_replayer(file)?;
     let base: u64 = rep.trace().launches.iter().map(|l| l.plain_cycles).sum();
-    let wd = fpx_trace::hang_budget(base, RunnerConfig::default().hang_slowdown_limit);
+    let wd = runner::hang_budget(base, RunnerConfig::default().hang_slowdown_limit);
     let mut m = fpx_trace::Metrics::for_trace(rep.trace());
     m.bytes = bytes;
     let obs = obs_from(opts);
@@ -636,16 +636,13 @@ pub fn metrics(name: &str, opts: &RunOpts, w: &mut dyn Write) -> Result<(), CliE
     };
     rc.opts.arch = opts.arch;
     rc.opts.fast_math = opts.fast_math;
-    let base =
-        runner::try_run_baseline(&program, &rc).map_err(|e| format!("{name} baseline: {e}"))?;
     let tool = match opts.tool {
         ToolKind::Detector => Tool::Detector(detector_config(opts)),
         ToolKind::Analyzer => Tool::Analyzer(AnalyzerConfig::default()),
         ToolKind::BinFpe => Tool::BinFpe,
         ToolKind::Shadow => Tool::Shadow(opts.shadow_config()),
     };
-    let r = runner::try_run_with_tool(&program, &rc, &tool, base)
-        .map_err(|e| format!("{name}: {e}"))?;
+    let (base, r) = runner::try_run(&program, &rc, &tool).map_err(|e| e.message(name))?;
     let snap = r
         .metrics
         .as_ref()

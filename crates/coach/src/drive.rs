@@ -136,7 +136,7 @@ impl CoachSession {
     }
 
     fn watchdog(&self) -> u64 {
-        fpx_trace::hang_budget(
+        fpx_suite::runner::hang_budget(
             self.base_cycles,
             RunnerConfig::default().hang_slowdown_limit,
         )

@@ -146,7 +146,7 @@ fn prog_ctx(program: &Program, cfg: &CampaignConfig) -> Result<ProgCtx, SimError
     }
     let base = gpu.clock.cycles();
     sp.add_cycles(base);
-    let watchdog = ((base.max(10_000) as f64) * cfg.hang_slowdown_limit) as u64;
+    let watchdog = fpx_suite::runner::hang_budget(base, cfg.hang_slowdown_limit);
     Ok(ProgCtx { sites, watchdog })
 }
 

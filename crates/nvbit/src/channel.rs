@@ -51,26 +51,30 @@ pub const MAX_RECORD: usize = 56;
 const N_SHARDS: usize = 16;
 
 /// One channel record: payload inline up to [`MAX_RECORD`] bytes, spilled
-/// to the heap beyond that so nothing is silently truncated.
+/// to the heap beyond that so nothing is silently truncated, stamped with
+/// the ⟨launch, block, seq⟩ origin the drain merges by.
 #[derive(Debug, Clone)]
 pub struct Record {
+    origin: PushOrigin,
     buf: [u8; MAX_RECORD],
     len: u8,
     spill: Option<Box<[u8]>>,
 }
 
 impl Record {
-    fn new(bytes: &[u8]) -> Self {
+    fn new(origin: PushOrigin, bytes: &[u8]) -> Self {
         if bytes.len() <= MAX_RECORD {
             let mut buf = [0u8; MAX_RECORD];
             buf[..bytes.len()].copy_from_slice(bytes);
             Record {
+                origin,
                 buf,
                 len: bytes.len() as u8,
                 spill: None,
             }
         } else {
             Record {
+                origin,
                 buf: [0u8; MAX_RECORD],
                 len: 0,
                 spill: Some(bytes.into()),
@@ -141,7 +145,11 @@ impl Default for ChannelConfig {
 /// A device→host record channel, shared by all SM workers of a launch.
 pub struct Channel {
     cfg: ChannelConfig,
-    shards: Vec<SegQueue<(PushOrigin, Record)>>,
+    shards: Vec<SegQueue<Record>>,
+    /// The last drain's records. One buffer serves every drain of the
+    /// channel's life: a launch-sized vector allocated and freed per
+    /// launch fragments the heap between the launches of a record flood.
+    drained: Vec<Record>,
     /// Records pushed since the last drain.
     in_flight: AtomicU64,
     /// Total records ever pushed.
@@ -162,6 +170,7 @@ impl Channel {
         Channel {
             cfg,
             shards: (0..N_SHARDS).map(|_| SegQueue::new()).collect(),
+            drained: Vec::new(),
             in_flight: AtomicU64::new(0),
             pushes: AtomicU64::new(0),
             stalled: AtomicU64::new(0),
@@ -186,28 +195,31 @@ impl Channel {
     /// Drain all buffered records to the host receiver, in serial push
     /// order: shards are merged by ⟨launch, block, seq⟩, restoring exactly
     /// the sequence a single-threaded block-by-block run would have
-    /// produced. The caller charges host processing per record.
-    pub fn drain(&mut self) -> Vec<Record> {
+    /// produced. The caller charges host processing per record. The slice
+    /// borrows the channel's drain buffer, which the next drain reuses.
+    pub fn drain(&mut self) -> &[Record] {
         // Clock reads are not free; only pay for them when the wall-clock
         // telemetry has somewhere to land.
         let t0 = self.obs.is_enabled().then(std::time::Instant::now);
-        let mut tagged: Vec<(PushOrigin, Record)> =
-            Vec::with_capacity(self.in_flight.load(Ordering::Relaxed) as usize);
+        self.drained.clear();
+        self.drained
+            .reserve(self.in_flight.load(Ordering::Relaxed) as usize);
         for shard in &self.shards {
-            while let Some(e) = shard.pop() {
-                tagged.push(e);
+            while let Some(r) = shard.pop() {
+                self.drained.push(r);
             }
         }
-        tagged.sort_by_key(|(origin, _)| *origin);
+        // Each block's port stamps its own seq, so origins are unique and
+        // the unstable (allocation-free) sort yields the one serial order.
+        self.drained.sort_unstable_by_key(|r| r.origin);
         self.in_flight.store(0, Ordering::Relaxed);
-        let out: Vec<Record> = tagged.into_iter().map(|(_, r)| r).collect();
         // Wall-clock series: lands in the telemetry snapshot's volatile
         // section only, never in deterministic artifacts.
         if let Some(t0) = t0 {
             self.obs
                 .observe(Hist::DrainWallNs, t0.elapsed().as_nanos() as u64);
         }
-        out
+        &self.drained
     }
 
     /// Total records pushed over the channel's lifetime.
@@ -251,7 +263,7 @@ impl Default for Channel {
 
 impl HostChannel for Channel {
     fn push_from(&self, origin: PushOrigin, bytes: &[u8], wire_bytes: usize) -> u64 {
-        self.shards[origin.block as usize % N_SHARDS].push((origin, Record::new(bytes)));
+        self.shards[origin.block as usize % N_SHARDS].push(Record::new(origin, bytes));
         self.pushes.fetch_add(1, Ordering::Relaxed);
         // This push's global ordinal since the last drain decides its
         // congestion regime (the pre-parallel code incremented first, then
@@ -293,7 +305,7 @@ impl HostChannel for Channel {
         }
         let shard = &self.shards[batch.block() as usize % N_SHARDS];
         for e in batch.entries() {
-            shard.push((batch.origin(e), Record::new(batch.payload(e))));
+            shard.push(Record::new(batch.origin(e), batch.payload(e)));
         }
         self.pushes.fetch_add(k, Ordering::Relaxed);
         let n0 = self.in_flight.fetch_add(k, Ordering::Relaxed);
@@ -337,6 +349,12 @@ impl HostChannel for Channel {
 mod tests {
     use super::*;
     use fpx_sim::hooks::ChannelPort;
+
+    const ORIGIN: PushOrigin = PushOrigin {
+        launch: 0,
+        block: 0,
+        seq: 0,
+    };
 
     #[test]
     fn uncongested_pushes_cost_base_plus_size() {
@@ -509,18 +527,18 @@ mod tests {
 
     #[test]
     fn record_at_max_record_is_inline_and_one_past_spills() {
-        let at = Record::new(&[9u8; MAX_RECORD]);
+        let at = Record::new(ORIGIN, &[9u8; MAX_RECORD]);
         assert!(!at.spilled(), "exactly MAX_RECORD bytes stays inline");
         assert_eq!(at.bytes().len(), MAX_RECORD);
         assert_eq!(at.len(), MAX_RECORD);
-        let over = Record::new(&[9u8; MAX_RECORD + 1]);
+        let over = Record::new(ORIGIN, &[9u8; MAX_RECORD + 1]);
         assert!(over.spilled(), "MAX_RECORD + 1 must spill to the heap");
         assert_eq!(over.bytes(), &[9u8; MAX_RECORD + 1][..]);
         // `len()` must report the true payload length even though a
         // spilled record keeps its inline length field at 0.
         assert_eq!(over.len(), MAX_RECORD + 1);
         assert!(!over.is_empty());
-        let empty = Record::new(&[]);
+        let empty = Record::new(ORIGIN, &[]);
         assert_eq!(empty.len(), 0);
         assert!(empty.is_empty());
         assert!(!empty.spilled());
@@ -673,16 +691,16 @@ mod tests {
 
     #[test]
     fn record_preserves_oversize_payload_via_spill() {
-        let small = Record::new(&[7u8; MAX_RECORD]);
+        let small = Record::new(ORIGIN, &[7u8; MAX_RECORD]);
         assert_eq!(small.bytes(), &[7u8; MAX_RECORD]);
         let big: Vec<u8> = (0..MAX_RECORD as u8 * 3).collect();
-        let r = Record::new(&big);
+        let r = Record::new(ORIGIN, &big);
         assert_eq!(r.bytes(), &big[..], "oversize payloads spill, not truncate");
         assert_eq!(r.len(), big.len());
         // A multi-kilobyte spill (well past any real tool record) must
         // round-trip bytes and length too.
         let huge: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
-        let h = Record::new(&huge);
+        let h = Record::new(ORIGIN, &huge);
         assert!(h.spilled());
         assert_eq!(h.len(), 4096);
         assert_eq!(h.bytes(), &huge[..]);

@@ -220,10 +220,11 @@ impl<T: NvbitTool> Nvbit<T> {
 
         let mut sp_drain = prof.span(ProfPhase::Drain);
         let records = self.channel.drain();
-        let host_base = self.tool.host_cost_per_record() * records.len() as u64;
+        let n_records = records.len() as u64;
+        let host_base = self.tool.host_cost_per_record() * n_records;
         self.gpu.clock.charge(host_base);
         let mut drain_cycles = host_base;
-        for r in &records {
+        for r in records {
             let extra = self.tool.on_channel_record(r.bytes());
             self.gpu.clock.charge(extra);
             drain_cycles += extra;
@@ -258,13 +259,13 @@ impl<T: NvbitTool> Nvbit<T> {
                 &stats,
                 push_delta,
                 drain_cycles,
-                records.len() as u64,
+                n_records,
             );
         }
 
         Ok(LaunchReport {
             stats,
-            records: records.len() as u64,
+            records: n_records,
             instrumented: lctx.instrument,
             jit_cycles,
         })

@@ -1,8 +1,10 @@
 //! Canonical job description and the shared run-and-render path.
 //!
 //! [`run_rendered`] is *the* implementation behind both `gpu-fpx suite
-//! run` and the serve worker pool: it runs the baseline, runs the tool,
-//! and renders the report into a `String`. Because both entry points call
+//! run` and the serve worker pool: it runs the program under the tool —
+//! one simulation, with the baseline taken from the instrumented pass
+//! (see [`fpx_suite::runner::try_run`]) — and renders the report into a
+//! `String`. Because both entry points call
 //! the same function with the same [`JobSpec`], a served result is
 //! byte-identical to a one-shot CLI run by construction — there is no
 //! second renderer to drift.
@@ -11,7 +13,7 @@ use fpx_compiler::CompileOpts;
 use fpx_prof::Phase as ProfPhase;
 use fpx_shadow::{ShadowConfig, ShadowMode};
 use fpx_sim::gpu::{Arch, Gpu};
-use fpx_suite::runner::{self, RunResult, RunnerConfig, Tool};
+use fpx_suite::runner::{self, RunError, RunResult, RunnerConfig, Tool};
 use fpx_trace::format::KernelMeta;
 use fpx_trace::{CacheError, CacheKey};
 use gpu_fpx::analyzer::AnalyzerConfig;
@@ -115,6 +117,21 @@ impl JobSpec {
         }
     }
 
+    /// The runner tool configuration this spec describes.
+    pub fn runner_tool(&self) -> Tool {
+        match self.tool {
+            JobTool::Detector => Tool::Detector(DetectorConfig {
+                use_gt: self.use_gt,
+                freq_redn_factor: self.freq_redn_factor,
+                whitelist: None,
+                device_checking: self.device_checking,
+            }),
+            JobTool::Analyzer => Tool::Analyzer(AnalyzerConfig::default()),
+            JobTool::BinFpe => Tool::BinFpe,
+            JobTool::Shadow => Tool::Shadow(self.shadow_config()),
+        }
+    }
+
     /// Canonical config fingerprint: the config half of the cache key.
     /// Encodes every spec field that can change the rendered report and
     /// nothing that cannot — in particular no worker or thread counts
@@ -150,7 +167,7 @@ impl JobSpec {
 #[derive(Debug)]
 pub enum JobError {
     UnknownProgram(String),
-    /// The uninstrumented baseline run failed.
+    /// The program itself failed to simulate ([`RunError::Baseline`]).
     Baseline {
         program: String,
         message: String,
@@ -247,24 +264,18 @@ pub fn run_rendered(spec: &JobSpec, rc: &RunnerConfig) -> Result<RenderedRun, Jo
     rc.arch = spec.arch;
     rc.opts.arch = spec.arch;
     rc.opts.fast_math = spec.fast_math;
-    let base = runner::try_run_baseline(&program, &rc).map_err(|e| JobError::Baseline {
-        program: spec.program.clone(),
-        message: e.to_string(),
-    })?;
-    let tool = match spec.tool {
-        JobTool::Detector => Tool::Detector(DetectorConfig {
-            use_gt: spec.use_gt,
-            freq_redn_factor: spec.freq_redn_factor,
-            whitelist: None,
-            device_checking: spec.device_checking,
-        }),
-        JobTool::Analyzer => Tool::Analyzer(AnalyzerConfig::default()),
-        JobTool::BinFpe => Tool::BinFpe,
-        JobTool::Shadow => Tool::Shadow(spec.shadow_config()),
-    };
-    let r = runner::try_run_with_tool(&program, &rc, &tool, base).map_err(|e| JobError::Run {
-        program: spec.program.clone(),
-        message: e.to_string(),
+    let (base, r) = runner::try_run(&program, &rc, &spec.runner_tool()).map_err(|e| {
+        let program = spec.program.clone();
+        match e {
+            RunError::Baseline(e) => JobError::Baseline {
+                program,
+                message: e.to_string(),
+            },
+            RunError::Tool(e) => JobError::Run {
+                program,
+                message: e.to_string(),
+            },
+        }
     })?;
     let _sp = rc.prof.span(ProfPhase::Analysis);
     let text = render(spec, base, &r);

@@ -90,6 +90,12 @@ pub struct WarpIds {
 pub struct ExecStats {
     /// Warp-instructions executed.
     pub warp_instrs: u64,
+    /// Cycles charged for issuing the executed warp-instructions
+    /// themselves — everything but injected calls, channel pushes and the
+    /// host-side charges of the NVBit layer. Tools never change what a
+    /// program executes, so an instrumented launch's `issue_cycles` is
+    /// exactly the `cycles` of the same launch run plain.
+    pub issue_cycles: u64,
     /// Warp-instructions that GPU-FPX would instrument.
     pub fp_warp_instrs: u64,
     /// FP32-class warp-instructions (Algorithm 1's "FP32 prefix" bucket).
@@ -118,6 +124,7 @@ pub struct ExecStats {
 impl ExecStats {
     pub fn add(&mut self, other: &ExecStats) {
         self.warp_instrs += other.warp_instrs;
+        self.issue_cycles += other.issue_cycles;
         self.fp_warp_instrs += other.fp_warp_instrs;
         self.fp32_warp_instrs += other.fp32_warp_instrs;
         self.fp64_warp_instrs += other.fp64_warp_instrs;
@@ -352,8 +359,10 @@ impl WarpExec<'_, '_> {
             let exec_mask = self.ctrl.exec_mask();
             debug_assert_ne!(exec_mask, 0, "scheduled a warp path with no lanes");
 
-            self.clock.charge(self.cost.instr_cost(instr.opcode.base));
+            let issue = self.cost.instr_cost(instr.opcode.base);
+            self.clock.charge(issue);
             self.stats.warp_instrs += 1;
+            self.stats.issue_cycles += issue;
             if instr.opcode.base.is_fp_instrumented() {
                 self.stats.fp_warp_instrs += 1;
                 match instr.opcode.base.fp_format() {

@@ -845,6 +845,89 @@ mod tests {
         assert!(par.max_worker_cycles > 0);
     }
 
+    /// Every issue-cost class (int, FP32, FP64, MUFU, memory, control),
+    /// a lane-dependent divergent loop, a barrier, and several blocks.
+    const ISSUE_MIX: &str = r#"
+.kernel issue_mix
+    S2R R0, SR_TID.X ;
+    S2R R8, SR_CTAID.X ;
+    S2R R9, SR_NTID.X ;
+    IMAD R7, R8, R9, R0 ;
+    SHL R1, R7, 0x2 ;
+    LDC R2, c[0x0][0x160] ;
+    IADD3 R3, R2, R1, RZ ;
+    MOV32I R4, 0x0 ;
+    MOV32I R5, 0x0 ;
+    SSY `(.L_sync) ;
+.L_top:
+    IADD3 R4, R4, 0x1, RZ ;
+    FADD R5, R5, 1.0 ;
+    DADD R10, R10, R10 ;
+    ISETP.LE.AND P0, R4, R0 ;
+    @P0 BRA `(.L_top) ;
+.L_sync:
+    SYNC ;
+    BAR.SYNC ;
+    MUFU.RCP R6, R5 ;
+    STG.E [R3], R6 ;
+    EXIT ;
+"#;
+
+    #[test]
+    fn issue_cycles_are_the_plain_cycles_of_a_launch() {
+        use crate::hooks::{DeviceFn, InjectionCtx, PushOrigin, When};
+
+        /// Charges its own cycles and pushes one record per call, like a
+        /// reporting tool's injected function.
+        struct Probe;
+        impl DeviceFn for Probe {
+            fn call(&self, ctx: &mut InjectionCtx<'_, '_>) {
+                let pushed = ctx.channel.push(&[ctx.pc as u8]);
+                ctx.clock.charge(pushed + 3);
+            }
+            fn num_runtime_args(&self) -> u32 {
+                2
+            }
+        }
+        struct Flat;
+        impl HostChannel for Flat {
+            fn push_from(&self, _o: PushOrigin, _b: &[u8], _w: usize) -> u64 {
+                25
+            }
+        }
+
+        let code = Arc::new(assemble_kernel(ISSUE_MIX).unwrap());
+        let plain = InstrumentedCode::plain(Arc::clone(&code));
+        let mut probed = InstrumentedCode::plain(Arc::clone(&code));
+        for pc in 0..code.len() as u32 {
+            probed.inject(pc, When::Before, Arc::new(Probe));
+            probed.inject(pc, When::After, Arc::new(Probe));
+        }
+        let launch = |ic: &InstrumentedCode, threads: usize| {
+            let mut gpu = Gpu::new(Arch::Ampere);
+            gpu.threads = threads;
+            let out = gpu.mem.alloc(8 * 64 * 4).unwrap();
+            let cfg = LaunchConfig::new(8, 64, vec![ParamValue::Ptr(out)]);
+            gpu.launch_with_channel(ic, &cfg, &Flat).unwrap()
+        };
+        let serial = launch(&plain, 1);
+        assert!(serial.cycles > 0);
+        for threads in [1, 4] {
+            let p = launch(&plain, threads);
+            assert_eq!(p.cycles, serial.cycles, "{threads} workers");
+            assert_eq!(p.exec.issue_cycles, p.cycles, "{threads} workers: plain");
+            let i = launch(&probed, threads);
+            assert_eq!(
+                i.exec.issue_cycles, serial.cycles,
+                "{threads} workers: instrumented"
+            );
+            assert!(
+                i.cycles > i.exec.issue_cycles + i.exec.injected_cycles,
+                "{threads} workers: hooks and pushes charge on top of issue"
+            );
+        }
+    }
+
     #[test]
     fn worker_pool_is_capped_by_grid_size() {
         let (_, stats) = run_grid_stamp(16, 3, 32);

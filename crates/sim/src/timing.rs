@@ -15,6 +15,15 @@
 
 use fpx_sass::op::BaseOp;
 
+/// The cycle budget past which a run counts as hung: `hang_slowdown_limit`
+/// times its uninstrumented time `base_cycles`, with `base_cycles` floored
+/// at 10,000 so tiny programs keep a usable budget. Every cut-off in the
+/// workspace (live runs, trace replay, coaching, fault injection) derives
+/// its watchdog from this one formula, so they all classify hangs alike.
+pub fn hang_budget(base_cycles: u64, hang_slowdown_limit: f64) -> u64 {
+    ((base_cycles.max(10_000) as f64) * hang_slowdown_limit) as u64
+}
+
 /// A monotonically increasing cycle counter for one program run.
 #[derive(Debug, Default, Clone)]
 pub struct Clock {

@@ -6,12 +6,31 @@
 //! time. A run whose slowdown exceeds [`RunnerConfig::hang_slowdown_limit`]
 //! is reported as a *hang* — the fate the paper observed for BinFPE (and
 //! GPU-FPX before GT deduplication) on exception-flooded programs.
+//!
+//! **One simulation per single-tool run.** On real hardware the original
+//! running time takes a second, uninstrumented run. Here a tool never
+//! changes what the program executes, so the instrumented run charges
+//! every issue cycle the plain run would ([`ExecStats::issue_cycles`]), and
+//! [`try_run`] takes the baseline from that sum instead of simulating the
+//! program twice. It checks the hang budget after every launch, against
+//! [`hang_budget`] of the plain cycles so far. That running budget never
+//! exceeds the budget of the whole baseline, so a pass that stays inside
+//! it is exactly the run [`try_run_with_tool`] makes. A pass that crosses
+//! it, or trips the simulator's own watchdog, is discarded and the run
+//! repeated as the two-pass sequence — [`try_run_baseline`], then
+//! [`try_run_with_tool`] — so a cut-off run reports what that sequence
+//! reports. The discarded pass still counts in the config's `obs` and
+//! `prof` handles. Callers that run several tools over one program keep
+//! the two-pass sequence with one explicit baseline.
+//!
+//! [`ExecStats::issue_cycles`]: fpx_sim::exec::ExecStats::issue_cycles
 
 use crate::{Plan, Program};
 use fpx_binfpe::BinFpe;
 use fpx_compiler::CompileOpts;
+use fpx_nvbit::tool::NvbitTool;
 use fpx_nvbit::Nvbit;
-use fpx_obs::{fpx_warn, Obs, Snapshot};
+use fpx_obs::{fpx_debug, fpx_warn, Obs, Snapshot};
 use fpx_prof::{Phase as ProfPhase, Prof};
 use fpx_shadow::{Shadow, ShadowConfig, ShadowReport};
 use fpx_sim::exec::SimError;
@@ -21,6 +40,8 @@ use gpu_fpx::analyzer::{Analyzer, AnalyzerConfig, AnalyzerReport};
 use gpu_fpx::detector::{Detector, DetectorConfig};
 use gpu_fpx::report::DetectorReport;
 use std::sync::Arc;
+
+pub use fpx_sim::timing::hang_budget;
 
 /// Which tool to load into the NVBit context.
 #[derive(Debug, Clone)]
@@ -123,9 +144,35 @@ impl Comparison {
     }
 }
 
+/// A failed [`try_run`], named by the step of the two-pass sequence that
+/// reports it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RunError {
+    /// The program itself fails to simulate. A tool never changes what
+    /// the program executes, so a fault in the single instrumented pass is
+    /// the fault the uninstrumented run would have hit first.
+    Baseline(SimError),
+    /// The instrumented run failed after a clean baseline.
+    Tool(SimError),
+}
+
+impl RunError {
+    /// The message the two-pass sequence reports for `program`:
+    /// `"{program} baseline: {e}"` or `"{program}: {e}"`.
+    pub fn message(&self, program: &str) -> String {
+        match self {
+            RunError::Baseline(e) => format!("{program} baseline: {e}"),
+            RunError::Tool(e) => format!("{program}: {e}"),
+        }
+    }
+}
+
 /// Run the original (uninstrumented) program; returns total cycles.
 /// Simulation failures (bad kernels, OOM) are propagated, not panicked —
-/// the CLI turns them into exit-code-1 messages.
+/// the CLI turns them into exit-code-1 messages. [`try_run`] derives the
+/// same number from its instrumented pass and calls this only for a run
+/// over its hang budget; callers that run several tools over one program
+/// call it once and pass the result to each [`try_run_with_tool`].
 pub fn try_run_baseline(program: &Program, cfg: &RunnerConfig) -> Result<u64, SimError> {
     // The whole uninstrumented run counts as preparation: it only exists
     // to anchor slowdowns and hang budgets for the instrumented run.
@@ -147,15 +194,30 @@ pub fn run_baseline(program: &Program, cfg: &RunnerConfig) -> u64 {
     try_run_baseline(program, cfg).unwrap_or_else(|e| panic!("{} baseline: {e}", program.name))
 }
 
-#[allow(clippy::type_complexity)]
-fn run_plan_with_tool<T: fpx_nvbit::tool::NvbitTool>(
+/// One completed pass of a program's launch plan under a tool.
+struct Pass<T: NvbitTool> {
+    nv: Nvbit<T>,
+    records: u64,
+    instrumented: u64,
+    hung: bool,
+    /// Summed issue cycles: the uninstrumented run's cycles.
+    plain: u64,
+}
+
+/// Run the plan under `tool`. With `Some(watchdog)` the run is cut off
+/// (and reported hung) past that total budget. With `None` the budget is
+/// the running `hang_budget` of the plain cycles so far, and a pass over
+/// it — or over the simulator's own watchdog — is abandoned: `Ok(None)`.
+fn run_plan_with_tool<T: NvbitTool>(
     program: &Program,
     cfg: &RunnerConfig,
     tool: T,
-    watchdog: u64,
-) -> Result<(Nvbit<T>, u64, u64, u64, bool), SimError> {
+    watchdog: Option<u64>,
+) -> Result<Option<Pass<T>>, SimError> {
     let mut gpu = Gpu::new(cfg.arch);
-    gpu.watchdog_cycles = watchdog;
+    if let Some(w) = watchdog {
+        gpu.watchdog_cycles = w;
+    }
     gpu.threads = cfg.threads.max(1);
     gpu.coalesce = cfg.coalesce;
     let mut tool = tool;
@@ -171,35 +233,130 @@ fn run_plan_with_tool<T: fpx_nvbit::tool::NvbitTool>(
     };
     let mut records = 0;
     let mut instrumented = 0;
+    let mut plain = 0;
     let mut hung = false;
     for l in &plan.launches {
         // The watchdog is a *total* budget: a single launch exceeding the
         // remaining budget means the program run would never finish.
-        match nv.launch(&l.kernel, &l.cfg) {
+        let over = match nv.launch(&l.kernel, &l.cfg) {
             Ok(rep) => {
                 records += rep.records;
                 instrumented += rep.instrumented as u64;
+                plain += rep.stats.exec.issue_cycles;
+                let budget =
+                    watchdog.unwrap_or_else(|| hang_budget(plain, cfg.hang_slowdown_limit));
+                nv.gpu.clock.cycles() > budget
             }
-            Err(SimError::Watchdog { .. }) => {
-                hung = true;
-                break;
-            }
+            Err(SimError::Watchdog { .. }) => true,
             Err(e) => return Err(e),
-        }
-        if nv.gpu.clock.cycles() > watchdog {
+        };
+        if over {
+            let Some(budget) = watchdog else {
+                fpx_debug!(
+                    "{}: over the running hang budget; re-running against a measured baseline",
+                    program.name
+                );
+                return Ok(None);
+            };
+            fpx_warn!(
+                "{}: run hung (exceeded {budget} cycle budget); cutting off",
+                program.name
+            );
             hung = true;
             break;
         }
     }
-    if hung {
-        fpx_warn!(
-            "{}: run hung (exceeded {watchdog} cycle budget); cutting off",
-            program.name
-        );
-    }
     nv.terminate();
-    let cycles = nv.gpu.clock.cycles();
-    Ok((nv, cycles, records, instrumented, hung))
+    Ok(Some(Pass {
+        nv,
+        records,
+        instrumented,
+        hung,
+        plain,
+    }))
+}
+
+impl<T: NvbitTool> Pass<T> {
+    /// The pass's baseline and result; `fold` adds the tool's report and
+    /// metrics snapshot.
+    fn finish(self, program: &Program, fold: impl FnOnce(&mut RunResult, &T)) -> (u64, RunResult) {
+        let mut r = RunResult {
+            program: program.name.clone(),
+            cycles: self.nv.gpu.clock.cycles(),
+            records: self.records,
+            instrumented_launches: self.instrumented,
+            detector_report: None,
+            analyzer_report: None,
+            shadow_report: None,
+            hung: self.hung,
+            metrics: None,
+        };
+        fold(&mut r, &self.nv.tool);
+        (self.plain, r)
+    }
+}
+
+/// Run `program` under `tool` once, with the budget rule of
+/// [`run_plan_with_tool`]; returns the baseline and the result, or `None`
+/// for an abandoned pass.
+fn run_tool(
+    program: &Program,
+    cfg: &RunnerConfig,
+    tool: &Tool,
+    watchdog: Option<u64>,
+) -> Result<Option<(u64, RunResult)>, SimError> {
+    Ok(match tool {
+        Tool::None => {
+            let cycles = try_run_baseline(program, cfg)?;
+            Some((
+                cycles,
+                RunResult {
+                    program: program.name.clone(),
+                    cycles,
+                    records: 0,
+                    instrumented_launches: 0,
+                    detector_report: None,
+                    analyzer_report: None,
+                    shadow_report: None,
+                    hung: false,
+                    metrics: None,
+                },
+            ))
+        }
+        Tool::Detector(dc) => {
+            run_plan_with_tool(program, cfg, Detector::new(dc.clone()), watchdog)?.map(|p| {
+                p.finish(program, |r, d| {
+                    r.detector_report = Some(d.report().clone());
+                    r.metrics = take_snapshot(cfg, Some(d));
+                })
+            })
+        }
+        Tool::Analyzer(ac) => {
+            run_plan_with_tool(program, cfg, Analyzer::new(ac.clone()), watchdog)?.map(|p| {
+                p.finish(program, |r, a| {
+                    r.analyzer_report = Some(a.report().clone());
+                    r.metrics = take_snapshot(cfg, None);
+                })
+            })
+        }
+        Tool::BinFpe => run_plan_with_tool(program, cfg, BinFpe::new(), watchdog)?.map(|p| {
+            p.finish(program, |r, b| {
+                r.detector_report = Some(b.report().clone());
+                r.metrics = take_snapshot(cfg, None);
+            })
+        }),
+        Tool::Shadow(sc) => {
+            run_plan_with_tool(program, cfg, Shadow::new(*sc), watchdog)?.map(|p| {
+                p.finish(program, |r, s| {
+                    // Fold the sanitizer's counters into the registry before
+                    // the snapshot so shadow activity is visible in metrics.
+                    s.snapshot_into(&cfg.obs);
+                    r.shadow_report = Some(s.report().clone());
+                    r.metrics = take_snapshot(cfg, None);
+                })
+            })
+        }
+    })
 }
 
 /// Run a program under a tool, propagating simulation failures. `base_cycles`
@@ -210,85 +367,33 @@ pub fn try_run_with_tool(
     tool: &Tool,
     base_cycles: u64,
 ) -> Result<RunResult, SimError> {
-    let watchdog = ((base_cycles.max(10_000) as f64) * cfg.hang_slowdown_limit) as u64;
-    let result = match tool {
-        Tool::None => RunResult {
-            program: program.name.clone(),
-            cycles: try_run_baseline(program, cfg)?,
-            records: 0,
-            instrumented_launches: 0,
-            detector_report: None,
-            analyzer_report: None,
-            shadow_report: None,
-            hung: false,
-            metrics: None,
-        },
-        Tool::Detector(dc) => {
-            let (nv, cycles, records, instrumented, hung) =
-                run_plan_with_tool(program, cfg, Detector::new(dc.clone()), watchdog)?;
-            RunResult {
-                program: program.name.clone(),
-                cycles,
-                records,
-                instrumented_launches: instrumented,
-                detector_report: Some(nv.tool.report().clone()),
-                analyzer_report: None,
-                shadow_report: None,
-                hung,
-                metrics: take_snapshot(cfg, Some(&nv.tool)),
-            }
-        }
-        Tool::Analyzer(ac) => {
-            let (nv, cycles, records, instrumented, hung) =
-                run_plan_with_tool(program, cfg, Analyzer::new(ac.clone()), watchdog)?;
-            RunResult {
-                program: program.name.clone(),
-                cycles,
-                records,
-                instrumented_launches: instrumented,
-                detector_report: None,
-                analyzer_report: Some(nv.tool.report().clone()),
-                shadow_report: None,
-                hung,
-                metrics: take_snapshot(cfg, None),
-            }
-        }
-        Tool::BinFpe => {
-            let (nv, cycles, records, instrumented, hung) =
-                run_plan_with_tool(program, cfg, BinFpe::new(), watchdog)?;
-            RunResult {
-                program: program.name.clone(),
-                cycles,
-                records,
-                instrumented_launches: instrumented,
-                detector_report: Some(nv.tool.report().clone()),
-                analyzer_report: None,
-                shadow_report: None,
-                hung,
-                metrics: take_snapshot(cfg, None),
-            }
-        }
-        Tool::Shadow(sc) => {
-            let (nv, cycles, records, instrumented, hung) =
-                run_plan_with_tool(program, cfg, Shadow::new(*sc), watchdog)?;
-            // Fold the sanitizer's counters into the registry before the
-            // snapshot so shadow activity is visible in metrics.
-            nv.tool.snapshot_into(&cfg.obs);
-            RunResult {
-                program: program.name.clone(),
-                cycles,
-                records,
-                instrumented_launches: instrumented,
-                detector_report: None,
-                analyzer_report: None,
-                shadow_report: Some(nv.tool.report().clone()),
-                hung,
-                metrics: take_snapshot(cfg, None),
-            }
-        }
-    };
+    let watchdog = hang_budget(base_cycles, cfg.hang_slowdown_limit);
+    let (_, result) = run_tool(program, cfg, tool, Some(watchdog))?
+        .expect("a run with a fixed budget is never abandoned");
     observe_reports(&cfg.obs, &result);
     Ok(result)
+}
+
+/// Run a program under one tool and return its baseline cycles with the
+/// result — one simulation where [`try_run_baseline`] +
+/// [`try_run_with_tool`] take two, with the same numbers, verdicts and
+/// reports (see the module docs for the hang-budget rule). A run over
+/// its hang budget is repeated as that two-pass sequence.
+pub fn try_run(
+    program: &Program,
+    cfg: &RunnerConfig,
+    tool: &Tool,
+) -> Result<(u64, RunResult), RunError> {
+    if let Some((base, result)) = run_tool(program, cfg, tool, None).map_err(RunError::Baseline)? {
+        // The derived baseline stands in for the uninstrumented run the
+        // two-pass sequence charges to `prepare`.
+        cfg.prof.record(ProfPhase::Prepare, 1, base);
+        observe_reports(&cfg.obs, &result);
+        return Ok((base, result));
+    }
+    let base = try_run_baseline(program, cfg).map_err(RunError::Baseline)?;
+    let result = try_run_with_tool(program, cfg, tool, base).map_err(RunError::Tool)?;
+    Ok((base, result))
 }
 
 /// Fold the finished run's reports into the count-valued telemetry layer
@@ -328,23 +433,22 @@ pub fn run_with_tool(
         .unwrap_or_else(|e| panic!("{}: {e}", program.name))
 }
 
+/// Panicking wrapper around [`try_run`] for test/bench callers.
+pub fn run(program: &Program, cfg: &RunnerConfig, tool: &Tool) -> (u64, RunResult) {
+    try_run(program, cfg, tool).unwrap_or_else(|e| panic!("{}", e.message(&program.name)))
+}
+
 /// Convenience: run the detector with default config and return its report.
 pub fn detect(program: &Program, cfg: &RunnerConfig) -> DetectorReport {
-    let base = run_baseline(program, cfg);
-    run_with_tool(
-        program,
-        cfg,
-        &Tool::Detector(DetectorConfig::default()),
-        base,
-    )
-    .detector_report
-    .expect("detector report")
+    run(program, cfg, &Tool::Detector(DetectorConfig::default()))
+        .1
+        .detector_report
+        .expect("detector report")
 }
 
 /// Baseline-vs-tool comparison for one program.
 pub fn compare(program: &Program, cfg: &RunnerConfig, tool: &Tool) -> Comparison {
-    let base = run_baseline(program, cfg);
-    let r = run_with_tool(program, cfg, tool, base);
+    let (base, r) = run(program, cfg, tool);
     Comparison {
         program: program.name.clone(),
         base_cycles: base,

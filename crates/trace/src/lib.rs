@@ -29,7 +29,11 @@ pub use cache::{CacheError, CacheKey, ResultCache};
 pub use export::{chrome_trace, prof_chrome_trace};
 pub use format::{Trace, TraceError};
 pub use record::{record, RecordError, TraceRecorder};
-pub use replay::{hang_budget, Replayed, TraceReplayer};
+pub use replay::{Replayed, TraceReplayer};
+
+/// Re-exported for `perfbench`, which calls it by this path; workspace
+/// code uses `fpx_suite::runner::hang_budget`.
+pub use fpx_sim::timing::hang_budget;
 
 /// Aggregate counters printed by the CLI's `trace` subcommands. `None`
 /// fields are omitted from the rendering (e.g. GT statistics when the

@@ -377,7 +377,7 @@ impl TraceReplayer {
             let host_base = tool.host_cost_per_record() * records.len() as u64;
             clock.charge(host_base);
             let mut drain_cycles = host_base;
-            for r in &records {
+            for r in records {
                 let extra = tool.on_channel_record(r.bytes());
                 clock.charge(extra);
                 drain_cycles += extra;
@@ -507,10 +507,4 @@ fn observe_replayed_launch(
         records,
         sm_cycles: Vec::new(),
     });
-}
-
-/// The watchdog budget the suite runner uses for a given baseline —
-/// mirrored here so replay hang classification matches live runs.
-pub fn hang_budget(base_cycles: u64, hang_slowdown_limit: f64) -> u64 {
-    ((base_cycles.max(10_000) as f64) * hang_slowdown_limit) as u64
 }

@@ -5,9 +5,9 @@
 //! extend this over every exception-bearing suite program.)
 
 use fpx_binfpe::BinFpe;
-use fpx_suite::runner::{self, RunnerConfig, Tool};
+use fpx_suite::runner::{self, hang_budget, RunnerConfig, Tool};
 use fpx_suite::Program;
-use fpx_trace::{hang_budget, record, Trace, TraceReplayer};
+use fpx_trace::{record, Trace, TraceReplayer};
 use gpu_fpx::analyzer::{Analyzer, AnalyzerConfig};
 use gpu_fpx::detector::{Detector, DetectorConfig};
 use std::sync::Arc;

@@ -17,19 +17,11 @@
 
 use fpx_sim::gpu::Arch;
 use fpx_suite::expected::TABLE4;
-use fpx_suite::runner::{self, RunResult, RunnerConfig, Tool};
-use fpx_trace::{hang_budget, record, TraceReplayer};
+use fpx_suite::runner::{self, hang_budget, RunResult, RunnerConfig, Tool};
+use fpx_trace::{record, TraceReplayer};
 use gpu_fpx::detector::{Detector, DetectorConfig};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Watchdog anchor for single-pass sweeps that don't need a baseline:
-/// `run_with_tool` derives its hang budget from the baseline cycles, but
-/// for the Table 4 sweep the baseline run existed *only* for that. The
-/// anchor is generous enough that no correct run is cut off (the largest
-/// suite programs model well under 2^32 cycles) yet finite, so a true
-/// runaway still terminates with a wrong row instead of spinning.
-const SWEEP_BASE_ANCHOR: u64 = 1 << 32;
 
 fn cfg_for(arch: Arch) -> RunnerConfig {
     let mut cfg = RunnerConfig {
@@ -85,18 +77,19 @@ pub fn detect(name: &str) -> Arc<RunResult> {
     })
 }
 
-/// Default-detector run with the sweep watchdog anchor — one simulation
-/// per program, no baseline pass. Correct for row/site/message
-/// assertions; use [`detect`] when the hang verdict is under test.
+/// Default-detector run through the runner's single pass — one
+/// simulation per program, with the baseline taken from the instrumented
+/// run and the real hang budget. Cached per (program, arch), apart from
+/// [`detect`]'s cache.
 pub fn detect_anchored(name: &str, arch: Arch) -> Arc<RunResult> {
     cached_run(format!("detect-anchored/{name}/{arch:?}"), || {
         let p = fpx_suite::find(name).unwrap_or_else(|| panic!("unknown program {name:?}"));
-        runner::run_with_tool(
+        runner::run(
             &p,
             &cfg_for(arch),
             &Tool::Detector(DetectorConfig::default()),
-            SWEEP_BASE_ANCHOR,
         )
+        .1
     })
 }
 

@@ -9,8 +9,8 @@
 //!    so replay drives the identical comparison sequence).
 
 use fpx_shadow::{Shadow, ShadowConfig, ShadowMode};
-use fpx_suite::runner::{self, RunnerConfig, Tool};
-use fpx_trace::{hang_budget, record, TraceReplayer};
+use fpx_suite::runner::{self, hang_budget, RunnerConfig, Tool};
+use fpx_trace::{record, TraceReplayer};
 use proptest::prelude::*;
 use std::sync::Arc;
 
