@@ -22,7 +22,7 @@ use fpx_nvbit::tool::{Inserter, LaunchCtx, NvbitTool};
 use fpx_sass::instr::Instruction;
 use fpx_sass::kernel::KernelCode;
 use fpx_sass::operand::RZ;
-use fpx_sass::types::{ExceptionKind, FpFormat};
+use fpx_sass::types::{row_exceptional_f32, row_exceptional_f64, ExceptionKind, FpFormat};
 use fpx_sim::exec::lanes_of;
 use fpx_sim::hooks::{DeviceFn, InjectionCtx, When};
 use gpu_fpx::checks;
@@ -73,11 +73,14 @@ impl DeviceFn for RecordFn {
             RecKind::F32 { rd, rcp } => {
                 rec[2] = if rcp { FLAG_RCP } else { 0 };
                 wire_bytes = 4 + 32 * 4;
-                for lane in lanes_of(ctx.guarded_mask) {
+                // Only NaN/INF/subnormal lanes can be kept; one row test
+                // finds them, and the exact per-lane check below decides.
+                let row = ctx.lanes.reg_row(rd);
+                for lane in lanes_of(row_exceptional_f32(row, ctx.guarded_mask)) {
                     if kept == KEPT_LANES {
                         break;
                     }
-                    let bits = ctx.lanes.reg(lane, rd);
+                    let bits = row[lane as usize];
                     let exceptional = if rcp {
                         checks::check_32_div0(bits).is_some()
                     } else {
@@ -93,11 +96,12 @@ impl DeviceFn for RecordFn {
             RecKind::F64 { lo, rcp } => {
                 rec[2] = FLAG_F64 | if rcp { FLAG_RCP } else { 0 };
                 wire_bytes = 4 + 32 * 8;
-                for lane in lanes_of(ctx.guarded_mask) {
+                let (lo, hi) = (ctx.lanes.reg_row(lo), ctx.lanes.reg_row(lo + 1));
+                for lane in lanes_of(row_exceptional_f64(lo, hi, ctx.guarded_mask)) {
                     if kept == KEPT_LANES {
                         break;
                     }
-                    let (l, h) = (ctx.lanes.reg(lane, lo), ctx.lanes.reg(lane, lo + 1));
+                    let (l, h) = (lo[lane as usize], hi[lane as usize]);
                     let exceptional = if rcp {
                         checks::check_64_div0(l, h).is_some()
                     } else {

@@ -478,7 +478,6 @@ pub fn trace_record(name: &str, opts: &RunOpts, w: &mut dyn Write) -> Result<(),
     fpx_obs::artifact::write_atomic(&path, &bytes)?;
     let mut m = fpx_trace::Metrics::for_trace(&trace);
     m.bytes = bytes.len() as u64;
-    m.channel_pushes = Some(trace.total_visits());
     writeln!(w, "recorded {name} -> {path}")?;
     write!(w, "{m}")?;
     Ok(())
@@ -1540,7 +1539,18 @@ mod tests {
         let mut out = Vec::new();
         trace_record("GRAMSCHM", &opts, &mut out).unwrap();
         let s = String::from_utf8(out).unwrap();
-        assert!(s.contains("events recorded"), "{s}");
+        let recorded = fpx_trace::Trace::from_bytes(&std::fs::read(&tpath).unwrap()).unwrap();
+        let events = s
+            .lines()
+            .find_map(|l| l.trim_start().strip_prefix("events recorded"))
+            .map(str::trim);
+        assert_eq!(
+            events,
+            Some(recorded.total_visits().to_string().as_str()),
+            "{s}"
+        );
+        // The recorder pushes nothing through the channel.
+        assert!(!s.contains("channel pushes"), "{s}");
 
         let mut out = Vec::new();
         trace_replay(&opts.out.clone().unwrap(), &opts, &mut out).unwrap();

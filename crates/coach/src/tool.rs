@@ -39,8 +39,8 @@ use fpx_sass::instr::Instruction;
 use fpx_sass::kernel::KernelCode;
 use fpx_sass::operand::{Operand, RZ};
 use fpx_sass::types::{
-    classify_f16, classify_f32, classify_f64, pair_to_f64_bits, row_class_masks_f16,
-    row_class_masks_f32, row_class_masks_f64, ClassMasks, FpClass, FpFormat,
+    classify_f16, classify_f32, classify_f64, pair_to_f64_bits, row_exceptional_f16,
+    row_exceptional_f32, row_exceptional_f64, FpClass, FpFormat,
 };
 use fpx_sim::hooks::{DeviceFn, InjectionCtx, Phase, When};
 use gpu_fpx::analyzer::{KillReason, RegClass};
@@ -95,20 +95,21 @@ fn reg_class(c: FpClass) -> RegClass {
 }
 
 impl CoachSlot {
-    fn row_masks(&self, ctx: &InjectionCtx<'_, '_>, active: u32) -> ClassMasks {
+    /// The `active` lanes holding a NaN/INF/subnormal in this slot.
+    fn exceptional_lanes(&self, ctx: &InjectionCtx<'_, '_>, active: u32) -> u32 {
         match self.fmt {
-            CoachFmt::F32 => row_class_masks_f32(ctx.lanes.reg_row(self.reg), active),
-            CoachFmt::F64Pair => row_class_masks_f64(
+            CoachFmt::F32 => row_exceptional_f32(ctx.lanes.reg_row(self.reg), active),
+            CoachFmt::F64Pair => row_exceptional_f64(
                 ctx.lanes.reg_row(self.reg),
                 ctx.lanes.reg_row(self.reg + 1),
                 active,
             ),
-            CoachFmt::F64Hi => row_class_masks_f64(
+            CoachFmt::F64Hi => row_exceptional_f64(
                 ctx.lanes.reg_row(self.reg - 1),
                 ctx.lanes.reg_row(self.reg),
                 active,
             ),
-            CoachFmt::F16 => row_class_masks_f16(ctx.lanes.reg_row(self.reg), active),
+            CoachFmt::F16 => row_exceptional_f16(ctx.lanes.reg_row(self.reg), active),
         }
     }
 
@@ -434,7 +435,7 @@ impl DeviceFn for CoachFn {
 
             // Step 2: destination write.
             if let Some(d) = spec.dest {
-                let exc = d.row_masks(ctx, ctx.guarded_mask).exceptional();
+                let exc = d.exceptional_lanes(ctx, ctx.guarded_mask);
                 if exc != 0 {
                     let lane = exc.trailing_zeros();
                     let class = d.classify(ctx, lane);

@@ -25,8 +25,8 @@ use fpx_sass::instr::Instruction;
 use fpx_sass::kernel::KernelCode;
 use fpx_sass::operand::{Operand, RZ};
 use fpx_sass::types::{
-    classify_f16, classify_f32, classify_f64, pair_to_f64_bits, row_class_masks_f16,
-    row_class_masks_f32, row_class_masks_f64, ClassMasks, FpClass, FpFormat,
+    classify_f16, classify_f32, classify_f64, pair_to_f64_bits, row_exceptional_f16,
+    row_exceptional_f32, row_exceptional_f64, FpClass, FpFormat,
 };
 use fpx_sim::hooks::{DeviceFn, InjectionCtx, When};
 use parking_lot::Mutex;
@@ -192,22 +192,23 @@ struct RegSlot {
 }
 
 impl RegSlot {
-    /// Branchless whole-warp classification of this slot: one SoA row
-    /// scan per register instead of 32 strided per-lane reads.
-    fn row_masks(&self, ctx: &InjectionCtx<'_, '_>, active: u32) -> ClassMasks {
+    /// The `active` lanes holding a NaN/INF/subnormal in this slot: one
+    /// branchless SoA row scan per register instead of 32 strided
+    /// per-lane reads.
+    fn exceptional_lanes(&self, ctx: &InjectionCtx<'_, '_>, active: u32) -> u32 {
         match self.fmt {
-            SlotFmt::F32 => row_class_masks_f32(ctx.lanes.reg_row(self.reg), active),
-            SlotFmt::F64Pair => row_class_masks_f64(
+            SlotFmt::F32 => row_exceptional_f32(ctx.lanes.reg_row(self.reg), active),
+            SlotFmt::F64Pair => row_exceptional_f64(
                 ctx.lanes.reg_row(self.reg),
                 ctx.lanes.reg_row(self.reg + 1),
                 active,
             ),
-            SlotFmt::F64Hi => row_class_masks_f64(
+            SlotFmt::F64Hi => row_exceptional_f64(
                 ctx.lanes.reg_row(self.reg - 1),
                 ctx.lanes.reg_row(self.reg),
                 active,
             ),
-            SlotFmt::F16 => row_class_masks_f16(ctx.lanes.reg_row(self.reg), active),
+            SlotFmt::F16 => row_exceptional_f16(ctx.lanes.reg_row(self.reg), active),
         }
     }
 
@@ -376,7 +377,7 @@ impl DeviceFn for AnalyzeFn {
         // case costs a few mask ORs and no allocation.
         let mut excn = 0u32;
         for s in &self.slots {
-            excn |= s.row_masks(ctx, ctx.guarded_mask).exceptional();
+            excn |= s.exceptional_lanes(ctx, ctx.guarded_mask);
         }
         let mut flags = self.flags;
         if excn == 0 {
@@ -391,7 +392,7 @@ impl DeviceFn for AnalyzeFn {
                 return;
             }
             for s in &self.slots {
-                excn |= s.row_masks(ctx, off).exceptional();
+                excn |= s.exceptional_lanes(ctx, off);
             }
             if excn == 0 {
                 return;

@@ -20,7 +20,8 @@ use fpx_nvbit::tool::{Inserter, LaunchCtx, NvbitTool, ToolCtx};
 use fpx_sass::instr::Instruction;
 use fpx_sass::kernel::KernelCode;
 use fpx_sass::types::{
-    row_class_masks_f16, row_class_masks_f32, row_class_masks_f64, ExceptionKind, FpFormat,
+    row_class_masks_f16, row_class_masks_f32, row_class_masks_f64, row_exceptional_f16,
+    row_exceptional_f32, row_exceptional_f64, ExceptionKind, FpFormat,
 };
 use fpx_sim::exec::lanes_of;
 use fpx_sim::hooks::{DeviceFn, InjectionCtx, When};
@@ -146,26 +147,38 @@ impl DeviceFn for CheckFn {
         // register-major, so all 32 lanes' bits stream through straight-
         // line exponent/mantissa tests (SNIPPETS Snippet 1 style) instead
         // of 32 strided, branchy per-lane calls. The guard mask clears
-        // lanes that didn't execute the instruction.
+        // lanes that didn't execute the instruction. Most executions are
+        // clean, so a one-mask exceptional test returns before the
+        // per-class split is built.
+        let (lanes, g) = (&*ctx.lanes, ctx.guarded_mask);
         let masks = match self.check {
-            CheckKind::NanInfSub32 { rd } => {
-                row_class_masks_f32(ctx.lanes.reg_row(rd), ctx.guarded_mask)
+            CheckKind::NanInfSub32 { rd } | CheckKind::Div032 { rd } => {
+                let row = lanes.reg_row(rd);
+                if row_exceptional_f32(row, g) == 0 {
+                    return;
+                }
+                row_class_masks_f32(row, g)
             }
-            CheckKind::NanInfSub64 { lo } => row_class_masks_f64(
-                ctx.lanes.reg_row(lo),
-                ctx.lanes.reg_row(lo + 1),
-                ctx.guarded_mask,
-            ),
-            CheckKind::Div032 { rd } => {
-                row_class_masks_f32(ctx.lanes.reg_row(rd), ctx.guarded_mask)
+            CheckKind::NanInfSub64 { lo } => {
+                let (lo, hi) = (lanes.reg_row(lo), lanes.reg_row(lo + 1));
+                if row_exceptional_f64(lo, hi, g) == 0 {
+                    return;
+                }
+                row_class_masks_f64(lo, hi, g)
             }
-            CheckKind::Div064 { hi } => row_class_masks_f64(
-                ctx.lanes.reg_row(hi - 1),
-                ctx.lanes.reg_row(hi),
-                ctx.guarded_mask,
-            ),
+            CheckKind::Div064 { hi } => {
+                let (lo, hi) = (lanes.reg_row(hi - 1), lanes.reg_row(hi));
+                if row_exceptional_f64(lo, hi, g) == 0 {
+                    return;
+                }
+                row_class_masks_f64(lo, hi, g)
+            }
             CheckKind::NanInfSub16 { rd } => {
-                row_class_masks_f16(ctx.lanes.reg_row(rd), ctx.guarded_mask)
+                let row = lanes.reg_row(rd);
+                if row_exceptional_f16(row, g) == 0 {
+                    return;
+                }
+                row_class_masks_f16(row, g)
             }
         };
         // Lane masks per exception kind, indexed by `encode()`. DIV0

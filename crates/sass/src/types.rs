@@ -342,6 +342,51 @@ pub fn row_class_masks_f16(row: &[u32; 32], active: u32) -> ClassMasks {
     }
 }
 
+/// The NaN | INF | subnormal lanes of an FP32 row, restricted to
+/// `active`: `row_class_masks_f32(row, active).exceptional()` in one
+/// mask. Each lane's test is two compares on the sign-cleared bits
+/// (exponent all ones, or a nonzero value below the smallest normal),
+/// and the bit is placed by AND-ing the compare result with a constant,
+/// so the loop vectorizes without per-lane shifts.
+#[inline]
+pub fn row_exceptional_f32(row: &[u32; 32], active: u32) -> u32 {
+    let mut m = 0u32;
+    for (lane, &bits) in row.iter().enumerate() {
+        let abs = bits & 0x7fff_ffff;
+        let exc = (abs >= F32_EXP_MASK) | (abs.wrapping_sub(1) < F32_MAN_MASK);
+        m |= (exc as u32).wrapping_neg() & (1 << lane);
+    }
+    m & active
+}
+
+/// The NaN | INF | subnormal lanes of an FP64 register-pair row (`lo` =
+/// `Rd`, `hi` = `Rd+1`); see [`row_exceptional_f32`].
+#[inline]
+pub fn row_exceptional_f64(lo: &[u32; 32], hi: &[u32; 32], active: u32) -> u32 {
+    let mut m = 0u32;
+    for lane in 0..32 {
+        let h = hi[lane] & 0x7fff_ffff;
+        let exp_ones = h >= 0x7ff0_0000;
+        let exp_zero = h < 0x0010_0000;
+        let exc = exp_ones | (exp_zero & ((h | lo[lane]) != 0));
+        m |= (exc as u32).wrapping_neg() & (1 << lane);
+    }
+    m & active
+}
+
+/// The NaN | INF | subnormal lanes of an FP16 row (value in the low 16
+/// bits of each register); see [`row_exceptional_f32`].
+#[inline]
+pub fn row_exceptional_f16(row: &[u32; 32], active: u32) -> u32 {
+    let mut m = 0u32;
+    for (lane, &bits) in row.iter().enumerate() {
+        let abs = bits & 0x7fff;
+        let exc = (abs >= F16_EXP_MASK as u32) | (abs.wrapping_sub(1) < F16_MAN_MASK as u32);
+        m |= (exc as u32).wrapping_neg() & (1 << lane);
+    }
+    m & active
+}
+
 /// Widen an IEEE binary16 bit pattern to f32 (handles subnormals, ±INF,
 /// and NaN payload preservation in the quiet bit).
 pub fn f16_to_f32(bits: u16) -> f32 {
@@ -552,6 +597,33 @@ mod tests {
         for lane in 16..32u32 {
             assert_eq!(half.class_of(lane), FpClass::Normal);
         }
+    }
+
+    #[test]
+    fn row_exceptional_marks_nan_inf_and_subnormal_lanes() {
+        let mut row = [1.0f32.to_bits(); 32];
+        row[1] = f32::NAN.to_bits();
+        row[2] = f32::NEG_INFINITY.to_bits();
+        row[3] = 1; // smallest subnormal
+        row[4] = (-0f32).to_bits();
+        row[5] = f32::MIN_POSITIVE.to_bits(); // smallest normal
+        row[6] = 0xffc0_0001; // -NaN with a payload
+        assert_eq!(row_exceptional_f32(&row, u32::MAX), 0b100_1110);
+        assert_eq!(row_exceptional_f32(&row, 0b1010), 0b1010);
+
+        let (mut lo, mut hi) = ([0u32; 32], [0x3ff0_0000u32; 32]); // 1.0
+        (lo[0], hi[0]) = f64_bits_to_pair(f64::INFINITY.to_bits());
+        (lo[1], hi[1]) = (1, 0); // subnormal, low word only
+        (lo[2], hi[2]) = (0, 0x8000_0000); // -0
+        (lo[3], hi[3]) = (1, 0x7ff0_0000); // NaN, payload in the low word
+        assert_eq!(row_exceptional_f64(&lo, &hi, u32::MAX), 0b1011);
+
+        let mut row = [0xdead_3c00u32; 32]; // 1.0 under garbage high bits
+        row[0] = 0x7c00;
+        row[1] = 0xffff_8001; // negative subnormal
+        row[2] = 0x0400; // smallest normal
+        row[3] = 0xffff_8000; // -0
+        assert_eq!(row_exceptional_f16(&row, u32::MAX), 0b11);
     }
 
     #[test]

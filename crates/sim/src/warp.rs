@@ -83,6 +83,18 @@ impl WarpLanes {
             .expect("SoA row is exactly WARP_SIZE wide")
     }
 
+    /// Overwrite all 32 lanes of register `r` with one row; writes to
+    /// `RZ` are discarded, as in [`set_reg`](WarpLanes::set_reg).
+    #[inline]
+    pub fn set_reg_row(&mut self, r: Reg, row: &[u32; WARP_SIZE as usize]) {
+        if r == RZ {
+            return;
+        }
+        debug_assert!((r as u32) < self.num_regs, "R{r} out of range");
+        let base = (r as u32 * WARP_SIZE) as usize;
+        self.regs[base..base + WARP_SIZE as usize].copy_from_slice(row);
+    }
+
     /// Re-initialize for a (possibly different) register count, zeroing
     /// all state but keeping the backing allocation when it is large
     /// enough. This is how the per-block arena recycles lane state across
@@ -242,6 +254,18 @@ mod tests {
         for (lane, &v) in row.iter().enumerate() {
             assert_eq!(v, 0x100 + lane as u32);
         }
+        assert!(l.reg_row(RZ).iter().all(|&v| v == 0));
+    }
+
+    #[test]
+    fn set_reg_row_writes_every_lane_and_rz_swallows_it() {
+        let mut l = WarpLanes::new(8);
+        let row: [u32; WARP_SIZE as usize] = std::array::from_fn(|lane| 0x200 + lane as u32);
+        l.set_reg_row(6, &row);
+        for lane in 0..WARP_SIZE {
+            assert_eq!(l.reg(lane, 6), 0x200 + lane);
+        }
+        l.set_reg_row(RZ, &row);
         assert!(l.reg_row(RZ).iter().all(|&v| v == 0));
     }
 

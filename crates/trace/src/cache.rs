@@ -32,7 +32,7 @@
 //! are treated as misses, not errors — the cache is always allowed to
 //! fall back to recomputing.
 
-use crate::format::{KernelMeta, Reader, TraceError, Writer};
+use crate::format::{KernelMeta, Reader, TraceError, Writer, KERNEL_MIN_BYTES};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -262,10 +262,7 @@ fn decode_entry(bytes: &[u8]) -> Result<Entry, TraceError> {
         });
     }
     let config = r.str()?;
-    let nkernels = r.varint()? as usize;
-    if nkernels > bytes.len() {
-        return Err(TraceError::Corrupt(format!("kernel count {nkernels}")));
-    }
+    let nkernels = r.count("kernel", KERNEL_MIN_BYTES)?;
     let mut kernels = Vec::with_capacity(nkernels);
     for _ in 0..nkernels {
         kernels.push(KernelMeta {
@@ -394,6 +391,22 @@ mod tests {
         c.clear();
         assert_eq!(c.lookup(&k).unwrap(), None);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn kernel_count_beyond_the_remaining_entry_is_corrupt() {
+        // 30 kernel entries need at least 120 bytes; 100 remain.
+        let mut w = Writer::default();
+        w.out.extend_from_slice(&ENTRY_MAGIC);
+        w.out.extend_from_slice(&ENTRY_VERSION.to_le_bytes());
+        w.str("cfg");
+        w.varint(30);
+        w.out.extend_from_slice(&[0; 100]);
+        match decode_entry(&w.out) {
+            Err(TraceError::Corrupt(what)) => assert!(what.contains("kernel count 30"), "{what}"),
+            Err(e) => panic!("expected Corrupt, got {e:?}"),
+            Ok(_) => panic!("expected Corrupt, got an entry"),
+        }
     }
 
     #[test]

@@ -76,9 +76,9 @@ pub fn chrome_trace(trace: &Trace, sm_tracks: usize) -> String {
 
         // Exceptional visits as instant events, spread across their
         // block's slice in visit order.
-        let mut per_block: Vec<Vec<&crate::format::Visit>> =
+        let mut per_block: Vec<Vec<crate::format::Visit<'_>>> =
             vec![Vec::new(); lt.block_cycles.len()];
-        for v in &lt.visits {
+        for v in lt.visits.iter() {
             if v.exceptional {
                 if let Some(bucket) = per_block.get_mut(v.block as usize) {
                     bucket.push(v);
@@ -170,11 +170,22 @@ pub fn prof_chrome_trace(snap: &fpx_prof::ProfSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{KernelMeta, LaunchTrace, Visit};
+    use crate::format::{KernelMeta, LaunchTrace, Visit, Visits};
     use fpx_sim::gpu::Arch;
     use fpx_sim::hooks::When;
 
     fn two_block_trace() -> Trace {
+        let mut visits = Visits::default();
+        visits.push(Visit {
+            pc: 1,
+            when: When::After,
+            block: 1,
+            warp: 0,
+            exec_mask: 1,
+            guarded_mask: 1,
+            exceptional: true,
+            values: &[0x7fc0_0000],
+        });
         Trace {
             arch: Arch::Ampere,
             fast_math: false,
@@ -189,16 +200,7 @@ mod tests {
                 kernel: 0,
                 plain_cycles: 100,
                 block_cycles: vec![60, 40],
-                visits: vec![Visit {
-                    pc: 1,
-                    when: When::After,
-                    block: 1,
-                    warp: 0,
-                    exec_mask: 1,
-                    guarded_mask: 1,
-                    exceptional: true,
-                    values: vec![0x7fc0_0000],
-                }],
+                visits,
             }],
         }
     }

@@ -48,6 +48,10 @@ const FLAG_EXCEPTIONAL: u8 = 1 << 1;
 const FLAG_SAME_CTX: u8 = 1 << 2;
 const FLAG_XOR_VALUES: u8 = 1 << 3;
 
+/// Fewest bytes one kernel-table entry takes: four varints (name length,
+/// register count, instruction count, checksum) of at least one byte.
+pub(crate) const KERNEL_MIN_BYTES: usize = 4;
+
 /// Why a trace could not be read. Every malformed input maps to one of
 /// these — decoding never panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,13 +100,11 @@ pub struct KernelMeta {
     pub checksum: u64,
 }
 
-/// One recorded instrumented-instruction visit: everything an injected
-/// device function could observe, minus the state it never reads.
-/// `values` holds the raw 32-bit register bits for each guarded lane ×
-/// each referenced register of the instruction at `pc` (lane-major), in
-/// the canonical order [`crate::record::referenced_regs`] defines.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Visit {
+/// One recorded instrumented-instruction visit, borrowed from its
+/// launch's [`Visits`] columns: everything an injected device function
+/// could observe, minus the state it never reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Visit<'a> {
     pub pc: u32,
     pub when: When,
     pub block: u32,
@@ -112,7 +114,177 @@ pub struct Visit {
     /// Some referenced register held a NaN/INF/subnormal at visit time
     /// (recorder-side classification; drives Chrome-trace instants).
     pub exceptional: bool,
-    pub values: Vec<u32>,
+    /// The raw 32-bit register bits of each referenced register × each
+    /// guarded lane, **register-major**: the guarded lanes of the first
+    /// register in lane order, then those of the second, and so on, in
+    /// the canonical order [`crate::record::referenced_regs`] defines.
+    pub values: &'a [u32],
+}
+
+impl Visit<'_> {
+    /// Number of guarded lanes, the length of each register's row.
+    #[inline]
+    pub fn lanes(&self) -> usize {
+        self.guarded_mask.count_ones() as usize
+    }
+}
+
+/// Whether `n` values form whole rows of `guarded_mask`'s lanes — the
+/// layout every recorded visit has.
+fn whole_rows(n: usize, guarded_mask: u32) -> bool {
+    let k = guarded_mask.count_ones() as usize;
+    n == 0 || (k != 0 && n.is_multiple_of(k))
+}
+
+/// Most values one visit can hold: 32 lanes × 256 registers. Every
+/// recorded visit is below it, since registers are numbered by a byte.
+const MAX_VISIT_VALUES: usize = 32 * 256;
+
+/// Values per arena block: 64 KiB, a multiple of [`MAX_VISIT_VALUES`].
+const BLOCK: usize = 2 * MAX_VISIT_VALUES;
+
+/// The visits of one launch, stored column by column. All register
+/// values share one register-major arena (see [`Visit::values`]), so no
+/// visit owns a heap allocation of its own.
+///
+/// The arena is a list of equal-size blocks rather than one vector. A
+/// visit never straddles two blocks (it starts a new one instead), so its
+/// values stay one slice: visit `i`'s begin at arena position `start[i]`,
+/// block `start[i] / BLOCK`, and run for `len[i]` values. Blocks are
+/// small enough that the allocator serves them from its heap, where a
+/// block one trace frees is the block the next trace takes. A vector
+/// the size of a launch is mapped fresh or carved from the heap
+/// depending on the frees before it, so peak memory would depend on the
+/// order traces are loaded in.
+#[derive(Debug, Clone, Default)]
+pub struct Visits {
+    pc: Vec<u32>,
+    when: Vec<When>,
+    block: Vec<u32>,
+    warp: Vec<u8>,
+    exec_mask: Vec<u32>,
+    guarded_mask: Vec<u32>,
+    exceptional: Vec<bool>,
+    start: Vec<usize>,
+    len: Vec<u16>,
+    values: Vec<Vec<u32>>,
+}
+
+impl PartialEq for Visits {
+    fn eq(&self, other: &Visits) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Visits {}
+
+impl Visits {
+    pub fn len(&self) -> usize {
+        self.pc.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.pc.is_empty()
+    }
+
+    /// Visit `i`, or `None` past the end.
+    pub fn get(&self, i: usize) -> Option<Visit<'_>> {
+        (i < self.len()).then(|| Visit {
+            pc: self.pc[i],
+            when: self.when[i],
+            block: self.block[i],
+            warp: self.warp[i],
+            exec_mask: self.exec_mask[i],
+            guarded_mask: self.guarded_mask[i],
+            exceptional: self.exceptional[i],
+            values: self.values_of(i),
+        })
+    }
+
+    /// The visits in recorded order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Visit<'_>> + '_ {
+        (0..self.len()).map(|i| self.get(i).expect("index below len"))
+    }
+
+    fn values_of(&self, i: usize) -> &[u32] {
+        let (at, n) = (self.start[i] % BLOCK, self.len[i] as usize);
+        self.values
+            .get(self.start[i] / BLOCK)
+            .map_or(&[], |b| &b[at..at + n])
+    }
+
+    /// Append a copy of `v`. Panics unless `v.values` holds whole rows
+    /// of its guarded lanes.
+    pub fn push(&mut self, v: Visit<'_>) {
+        self.push_with(v, v.values.len(), |block| block.extend_from_slice(v.values));
+    }
+
+    /// Append the context of `head` (its `values` are not read) with the
+    /// `n` values `fill` appends to the arena block, register-major.
+    /// Panics unless they form whole rows of the guarded lanes.
+    pub(crate) fn push_with(
+        &mut self,
+        head: Visit<'_>,
+        n: usize,
+        fill: impl FnOnce(&mut Vec<u32>),
+    ) {
+        assert!(
+            n <= MAX_VISIT_VALUES && whole_rows(n, head.guarded_mask),
+            "visit values must be whole rows of the guarded lanes"
+        );
+        let block = self.block_for(n);
+        let at = block.len();
+        fill(block);
+        assert_eq!(block.len() - at, n, "visit filled {n} values");
+        self.push_context(head, n);
+    }
+
+    /// The arena block the next visit's `n` values go in: the last one,
+    /// or a new one when the last lacks room.
+    fn block_for(&mut self, n: usize) -> &mut Vec<u32> {
+        if self.values.last().is_none_or(|b| b.len() + n > BLOCK) {
+            self.values.push(Vec::with_capacity(BLOCK));
+        }
+        self.values.last_mut().expect("a block was just ensured")
+    }
+
+    /// Open `n` zeroed values for the next visit at the arena's end.
+    /// Returns them with the values of visit `prev`, when given.
+    fn open(&mut self, n: usize, prev: Option<usize>) -> (&mut [u32], Option<&[u32]>) {
+        if n > 0 {
+            self.block_for(n);
+        }
+        let Some((cur, done)) = self.values.split_last_mut() else {
+            return (&mut [], prev.map(|_| &[][..]));
+        };
+        let at = cur.len();
+        cur.resize(at + n, 0);
+        let (head, cur) = cur.split_at_mut(at);
+        let prev = prev.map(|j| {
+            let (b, at, n) = (self.start[j] / BLOCK, self.start[j] % BLOCK, self.len[j]);
+            let block = done.get(b).map_or(&*head, |b| b.as_slice());
+            &block[at..at + n as usize]
+        });
+        (cur, prev)
+    }
+
+    /// Append every column but the values, closing the visit over the
+    /// last `n` values of the arena.
+    fn push_context(&mut self, v: Visit<'_>, n: usize) {
+        let end = self
+            .values
+            .last()
+            .map_or(0, |b| (self.values.len() - 1) * BLOCK + b.len());
+        self.pc.push(v.pc);
+        self.when.push(v.when);
+        self.block.push(v.block);
+        self.warp.push(v.warp);
+        self.exec_mask.push(v.exec_mask);
+        self.guarded_mask.push(v.guarded_mask);
+        self.exceptional.push(v.exceptional);
+        self.start.push(end - n);
+        self.len.push(n as u16);
+    }
 }
 
 /// One recorded kernel launch: which kernel ran, what the uninstrumented
@@ -127,7 +299,7 @@ pub struct LaunchTrace {
     pub plain_cycles: u64,
     /// Plain-execution cycles per thread block, indexed by block id.
     pub block_cycles: Vec<u64>,
-    pub visits: Vec<Visit>,
+    pub visits: Visits,
 }
 
 /// A complete recorded execution.
@@ -149,7 +321,20 @@ impl Trace {
 
     /// Serialize to the on-disk format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::default();
+        // A counting pass sizes the buffer exactly, so it is one heap
+        // allocation of the encoded length: grown by doubling it would be
+        // copied (holding two buffers at once), and reserved from an upper
+        // bound it would be mapped fresh on top of the resident heap.
+        let mut size = Writer { out: Count(0) };
+        self.encode(&mut size);
+        let mut w = Writer {
+            out: Vec::with_capacity(size.out.0),
+        };
+        self.encode(&mut w);
+        w.out
+    }
+
+    fn encode(&self, w: &mut Writer<impl Out>) {
         w.out.extend_from_slice(&MAGIC);
         w.out.extend_from_slice(&VERSION.to_le_bytes());
         w.out.push(match self.arch {
@@ -173,8 +358,8 @@ impl Trace {
             for &c in &l.block_cycles {
                 w.varint(c);
             }
-            let mut prev: Option<&Visit> = None;
-            for v in &l.visits {
+            let mut prev = None;
+            for v in l.visits.iter() {
                 w.visit(v, prev);
                 prev = Some(v);
             }
@@ -182,7 +367,6 @@ impl Trace {
         }
         w.out.push(TAG_EOF);
         w.varint(self.total_visits());
-        w.out
     }
 
     /// Parse the on-disk format. Rejects wrong magic/version and any
@@ -210,10 +394,7 @@ impl Trace {
             b => return Err(TraceError::Corrupt(format!("bad fast_math byte {b}"))),
         };
         let program = r.str()?;
-        let nkernels = r.varint()? as usize;
-        if nkernels > bytes.len() {
-            return Err(TraceError::Corrupt(format!("kernel count {nkernels}")));
-        }
+        let nkernels = r.count("kernel", KERNEL_MIN_BYTES)?;
         let mut kernels = Vec::with_capacity(nkernels);
         for _ in 0..nkernels {
             kernels.push(KernelMeta {
@@ -235,21 +416,15 @@ impl Trace {
                         )));
                     }
                     let plain_cycles = r.varint()?;
-                    let nblocks = r.varint()? as usize;
-                    if nblocks > bytes.len() {
-                        return Err(TraceError::Corrupt(format!("block count {nblocks}")));
-                    }
+                    let nblocks = r.count("block", 1)?;
                     let mut block_cycles = Vec::with_capacity(nblocks);
                     for _ in 0..nblocks {
                         block_cycles.push(r.varint()?);
                     }
-                    let mut visits = Vec::new();
+                    let mut visits = Visits::default();
                     loop {
                         match r.byte()? {
-                            TAG_VISIT => {
-                                let v = r.visit(visits.last())?;
-                                visits.push(v);
-                            }
+                            TAG_VISIT => r.visit(&mut visits, nblocks)?,
                             TAG_LAUNCH_END => break,
                             t => {
                                 return Err(TraceError::Corrupt(format!(
@@ -298,15 +473,62 @@ pub fn kernel_checksum(code: &fpx_sass::kernel::KernelCode) -> u64 {
     code.checksum()
 }
 
-/// Varint byte-stream writer, shared with the cache-entry format in
-/// [`crate::cache`].
-#[derive(Default)]
-pub(crate) struct Writer {
-    pub(crate) out: Vec<u8>,
+/// Where a [`Writer`] puts its bytes.
+pub(crate) trait Out {
+    fn push(&mut self, byte: u8);
+    fn extend_from_slice(&mut self, bytes: &[u8]);
 }
 
-impl Writer {
-    pub(crate) fn varint(&mut self, mut v: u64) {
+impl Out for Vec<u8> {
+    #[inline]
+    fn push(&mut self, byte: u8) {
+        Vec::push(self, byte);
+    }
+
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        Vec::extend_from_slice(self, bytes);
+    }
+}
+
+/// Counts the bytes written to it and keeps none.
+struct Count(usize);
+
+impl Out for Count {
+    #[inline]
+    fn push(&mut self, _: u8) {
+        self.0 += 1;
+    }
+
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
+/// Varint byte-stream writer, shared with the cache-entry format in
+/// [`crate::cache`].
+pub(crate) struct Writer<O = Vec<u8>> {
+    pub(crate) out: O,
+}
+
+impl Default for Writer {
+    fn default() -> Self {
+        Writer { out: Vec::new() }
+    }
+}
+
+impl<O: Out> Writer<O> {
+    /// Most values fit one byte. Inlining only that test, with the loop
+    /// out of line, encodes measurably faster than inlining the loop.
+    #[inline]
+    pub(crate) fn varint(&mut self, v: u64) {
+        if v < 0x80 {
+            self.out.push(v as u8);
+        } else {
+            self.varint_multi(v);
+        }
+    }
+
+    fn varint_multi(&mut self, mut v: u64) {
         loop {
             let byte = (v & 0x7f) as u8;
             v >>= 7;
@@ -327,7 +549,9 @@ impl Writer {
         self.out.extend_from_slice(s.as_bytes());
     }
 
-    fn visit(&mut self, v: &Visit, prev: Option<&Visit>) {
+    /// Encode one visit in the v1 layout, `prev` being the launch's
+    /// previous visit.
+    fn visit(&mut self, v: Visit<'_>, prev: Option<Visit<'_>>) {
         let mut flags = 0u8;
         if v.when == When::After {
             flags |= FLAG_AFTER;
@@ -357,14 +581,31 @@ impl Writer {
             self.varint(v.exec_mask as u64);
             self.varint(v.guarded_mask as u64);
         }
-        self.varint(v.values.len() as u64);
-        for (i, &val) in v.values.iter().enumerate() {
-            let enc = if xor {
-                val ^ prev.expect("xor implies prev").values[i]
-            } else {
-                val
-            };
-            self.varint(enc as u64);
+        let n = v.values.len();
+        self.varint(n as u64);
+        // The wire order is lane-major: read the arena transposed. The XOR
+        // partner is the same wire element of the previous visit; with an
+        // equal lane count (the common case) that is the same arena
+        // offset, which spares the general arm its per-value divisions.
+        let k = v.lanes();
+        match prev.filter(|_| xor).map(|p| (p.values, p.lanes())) {
+            None => self.values(v.values, k, |_, _| 0),
+            Some((prev, pk)) if pk == k => self.values(v.values, k, |at, _| prev[at]),
+            Some((prev, pk)) => self.values(v.values, k, |_, i| prev[arena_at(i, n, pk)]),
+        }
+    }
+
+    /// Write one visit's register-major `values` (rows of `lanes` lanes)
+    /// to the wire lane-major, each XOR-ed with `partner(arena offset,
+    /// wire index)`.
+    #[inline]
+    fn values(&mut self, values: &[u32], lanes: usize, partner: impl Fn(usize, usize) -> u32) {
+        let nregs = values.len().checked_div(lanes).unwrap_or(0);
+        for lane in 0..lanes {
+            for r in 0..nregs {
+                let at = r * lanes + lane;
+                self.varint((values[at] ^ partner(at, lane * nregs + r)) as u64);
+            }
         }
     }
 }
@@ -378,7 +619,7 @@ pub(crate) struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], TraceError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.buf.len() - self.pos {
             return Err(TraceError::Truncated);
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -390,6 +631,7 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
+    #[inline]
     pub(crate) fn varint(&mut self) -> Result<u64, TraceError> {
         let mut v = 0u64;
         let mut shift = 0u32;
@@ -406,6 +648,20 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Read an element count and bound it by the input that remains, at
+    /// `min_bytes` per element, so a corrupt count can never reserve more
+    /// than the rest of the stream could fill.
+    pub(crate) fn count(&mut self, what: &str, min_bytes: usize) -> Result<usize, TraceError> {
+        let n = self.varint()?;
+        let room = (self.buf.len() - self.pos) / min_bytes;
+        if n > room as u64 {
+            return Err(TraceError::Corrupt(format!(
+                "{what} count {n} exceeds the {room} the remaining input can hold"
+            )));
+        }
+        Ok(n as usize)
+    }
+
     fn zigzag(&mut self) -> Result<i64, TraceError> {
         let v = self.varint()?;
         Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
@@ -418,16 +674,65 @@ impl<'a> Reader<'a> {
             .map_err(|_| TraceError::Corrupt("string is not UTF-8".into()))
     }
 
-    /// Decode one visit body (the `TAG_VISIT` byte is already consumed).
-    fn visit(&mut self, prev: Option<&Visit>) -> Result<Visit, TraceError> {
+    /// Read one visit's values from the wire (lane-major) into `cur`, its
+    /// register-major rows of `lanes` lanes, each XOR-ed with
+    /// `partner(arena offset, wire index)`.
+    #[inline]
+    fn values(
+        &mut self,
+        cur: &mut [u32],
+        lanes: usize,
+        partner: impl Fn(usize, usize) -> u32,
+    ) -> Result<(), TraceError> {
+        let nregs = cur.len().checked_div(lanes).unwrap_or(0);
+        // Nearly every visit's values are one-byte varints (XOR deltas of
+        // unchanged registers and small values); one OR over the bytes
+        // finds those visits, which then copy without varint decoding.
+        let one_byte = self
+            .buf
+            .get(self.pos..self.pos + cur.len())
+            .filter(|bytes| bytes.iter().fold(0, |acc, &b| acc | b) < 0x80);
+        if let Some(bytes) = one_byte {
+            for r in 0..nregs {
+                for lane in 0..lanes {
+                    let (at, i) = (r * lanes + lane, lane * nregs + r);
+                    cur[at] = bytes[i] as u32 ^ partner(at, i);
+                }
+            }
+            self.pos += cur.len();
+            return Ok(());
+        }
+        for lane in 0..lanes {
+            for r in 0..nregs {
+                let at = r * lanes + lane;
+                cur[at] = self.varint()? as u32 ^ partner(at, lane * nregs + r);
+            }
+        }
+        Ok(())
+    }
+
+    /// Decode one visit body (the `TAG_VISIT` byte is already consumed)
+    /// onto the end of `visits`, transposing its lane-major wire values
+    /// into the register-major arena as they are read.
+    fn visit(&mut self, visits: &mut Visits, nblocks: usize) -> Result<(), TraceError> {
         let flags = self.byte()?;
-        let pc = prev.map_or(0, |p| p.pc as i64) + self.zigzag()?;
-        let pc = u32::try_from(pc).map_err(|_| TraceError::Corrupt(format!("visit pc {pc}")))?;
+        let last = visits.len().checked_sub(1);
+        let delta = self.zigzag()?;
+        let pc = last
+            .map_or(0, |i| visits.pc[i] as i64)
+            .checked_add(delta)
+            .and_then(|pc| u32::try_from(pc).ok())
+            .ok_or_else(|| TraceError::Corrupt(format!("visit pc delta {delta}")))?;
         let (block, warp, exec_mask, guarded_mask) = if flags & FLAG_SAME_CTX != 0 {
-            let p = prev.ok_or_else(|| {
+            let i = last.ok_or_else(|| {
                 TraceError::Corrupt("first visit of a launch claims SAME_CTX".into())
             })?;
-            (p.block, p.warp, p.exec_mask, p.guarded_mask)
+            (
+                visits.block[i],
+                visits.warp[i],
+                visits.exec_mask[i],
+                visits.guarded_mask[i],
+            )
         } else {
             (
                 self.varint()? as u32,
@@ -436,38 +741,68 @@ impl<'a> Reader<'a> {
                 self.varint()? as u32,
             )
         };
-        let n = self.varint()? as usize;
-        if n > self.buf.len() {
-            return Err(TraceError::Corrupt(format!("visit claims {n} values")));
+        if block as usize >= nblocks {
+            return Err(TraceError::Corrupt(format!(
+                "visit in block {block} of a {nblocks}-block launch"
+            )));
+        }
+        let n = self.count("value", 1)?;
+        if n > MAX_VISIT_VALUES {
+            return Err(TraceError::Corrupt(format!(
+                "visit holds {n} values, more than 32 lanes of 256 registers"
+            )));
+        }
+        if !whole_rows(n, guarded_mask) {
+            return Err(TraceError::Corrupt(format!(
+                "visit holds {n} values for {} guarded lanes",
+                guarded_mask.count_ones()
+            )));
         }
         let xor = flags & FLAG_XOR_VALUES != 0;
-        if xor && prev.map_or(0, |p| p.values.len()) != n {
+        let prev_n = last.map_or(0, |i| visits.len[i] as usize);
+        if xor && prev_n != n {
             return Err(TraceError::Corrupt("XOR_VALUES length mismatch".into()));
         }
-        let mut values = Vec::with_capacity(n);
-        for i in 0..n {
-            let raw = self.varint()? as u32;
-            values.push(if xor {
-                raw ^ prev.expect("checked above").values[i]
-            } else {
-                raw
-            });
+        // Transpose while reading: wire element `i` (lane `i / nregs`,
+        // register `i % nregs`) lands at `r * k + lane` in the arena. The
+        // XOR partner is the same wire element of the previous visit: the
+        // same arena offset when the lane counts match (the common case,
+        // spared the general arm's per-value divisions).
+        let k = guarded_mask.count_ones() as usize;
+        let partner = last.filter(|_| xor);
+        let pk = partner.map_or(0, |i| visits.guarded_mask[i].count_ones() as usize);
+        match visits.open(n, partner) {
+            (cur, None) => self.values(cur, k, |_, _| 0)?,
+            (cur, Some(prev)) if pk == k => self.values(cur, k, |at, _| prev[at])?,
+            (cur, Some(prev)) => self.values(cur, k, |_, i| prev[arena_at(i, n, pk)])?,
         }
-        Ok(Visit {
-            pc,
-            when: if flags & FLAG_AFTER != 0 {
-                When::After
-            } else {
-                When::Before
+        visits.push_context(
+            Visit {
+                pc,
+                when: if flags & FLAG_AFTER != 0 {
+                    When::After
+                } else {
+                    When::Before
+                },
+                block,
+                warp,
+                exec_mask,
+                guarded_mask,
+                exceptional: flags & FLAG_EXCEPTIONAL != 0,
+                values: &[],
             },
-            block,
-            warp,
-            exec_mask,
-            guarded_mask,
-            exceptional: flags & FLAG_EXCEPTIONAL != 0,
-            values,
-        })
+            n,
+        );
+        Ok(())
     }
+}
+
+/// Where wire element `i` of a visit with `n` values over `lanes`
+/// guarded lanes sits in the register-major arena: the wire order is
+/// lane-major, so element `i` is lane `i / nregs`, register `i % nregs`.
+fn arena_at(i: usize, n: usize, lanes: usize) -> usize {
+    let nregs = n / lanes;
+    (i % nregs) * lanes + i / nregs
 }
 
 #[cfg(test)]
@@ -475,6 +810,27 @@ mod tests {
     use super::*;
 
     fn sample_trace() -> Trace {
+        let mut visits = Visits::default();
+        visits.push(Visit {
+            pc: 2,
+            when: When::Before,
+            block: 0,
+            warp: 0,
+            exec_mask: 0x8000_0000,
+            guarded_mask: 0x8000_0000,
+            exceptional: false,
+            values: &[0x3f80_0000, 0x7fc0_0000],
+        });
+        visits.push(Visit {
+            pc: 2,
+            when: When::After,
+            block: 0,
+            warp: 0,
+            exec_mask: 0x8000_0000,
+            guarded_mask: 0x8000_0000,
+            exceptional: true,
+            values: &[0x7fc0_0000, 0x7fc0_0000],
+        });
         Trace {
             arch: Arch::Ampere,
             fast_math: false,
@@ -489,28 +845,7 @@ mod tests {
                 kernel: 0,
                 plain_cycles: 1234,
                 block_cycles: vec![600, 634],
-                visits: vec![
-                    Visit {
-                        pc: 2,
-                        when: When::Before,
-                        block: 0,
-                        warp: 0,
-                        exec_mask: u32::MAX,
-                        guarded_mask: u32::MAX,
-                        exceptional: false,
-                        values: vec![0x3f80_0000, 0x7fc0_0000],
-                    },
-                    Visit {
-                        pc: 2,
-                        when: When::After,
-                        block: 0,
-                        warp: 0,
-                        exec_mask: u32::MAX,
-                        guarded_mask: u32::MAX,
-                        exceptional: true,
-                        values: vec![0x7fc0_0000, 0x7fc0_0000],
-                    },
-                ],
+                visits,
             }],
         }
     }
@@ -575,6 +910,215 @@ mod tests {
             // different trace — never a panic.
             let _ = Trace::from_bytes(&bad);
         }
+    }
+
+    /// A stream header for `program` with the given kernel-count varint,
+    /// as `to_bytes` writes it.
+    fn header(nkernels: u64) -> Writer {
+        let mut w = Writer::default();
+        w.out.extend_from_slice(&MAGIC);
+        w.out.extend_from_slice(&VERSION.to_le_bytes());
+        w.out.extend_from_slice(&[1, 0]);
+        w.str("unit");
+        w.varint(nkernels);
+        w
+    }
+
+    /// A one-kernel stream opened up to a launch of `nblocks` blocks.
+    fn launch(nblocks: u64) -> Writer {
+        let mut w = header(1);
+        w.str("k0");
+        w.varint(8);
+        w.varint(5);
+        w.varint(1);
+        w.out.push(TAG_LAUNCH_START);
+        w.varint(0);
+        w.varint(100);
+        w.varint(nblocks);
+        w
+    }
+
+    fn corrupt(bytes: &[u8]) -> String {
+        match Trace::from_bytes(bytes) {
+            Err(TraceError::Corrupt(what)) => what,
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn counts_beyond_the_remaining_input_are_corrupt_not_truncated() {
+        // 30 kernel entries need at least 120 bytes; 100 remain.
+        let mut w = header(30);
+        w.out.extend_from_slice(&[0; 100]);
+        assert!(corrupt(&w.out).contains("kernel count 30"));
+        // 200 block cycles need at least 200 bytes; 100 remain.
+        let mut w = launch(200);
+        w.out.extend_from_slice(&[0; 100]);
+        assert!(corrupt(&w.out).contains("block count 200"));
+        // A visit claiming 64 values with 40 bytes left.
+        let mut w = launch(1);
+        w.varint(7);
+        w.out
+            .extend_from_slice(&[TAG_VISIT, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f, 0xff]);
+        w.out.extend_from_slice(&[0xff, 0xff, 0xff, 0x0f]);
+        w.varint(64);
+        w.out.extend_from_slice(&[0; 40]);
+        assert!(corrupt(&w.out).contains("value count 64"));
+    }
+
+    #[test]
+    fn visits_must_stay_inside_their_launch_and_lane_rows() {
+        // Block 3 of a 2-block launch.
+        let mut w = launch(2);
+        w.varint(7);
+        w.varint(7);
+        w.out.extend_from_slice(&[TAG_VISIT, 0, 0, 3, 0, 1, 1, 0]);
+        w.out.extend_from_slice(&[TAG_LAUNCH_END, TAG_EOF, 1]);
+        assert!(corrupt(&w.out).contains("block 3"));
+        // Three values over two guarded lanes are not whole rows.
+        let mut w = launch(1);
+        w.varint(7);
+        w.out
+            .extend_from_slice(&[TAG_VISIT, 0, 0, 0, 0, 3, 3, 3, 1, 2, 3]);
+        w.out.extend_from_slice(&[TAG_LAUNCH_END, TAG_EOF, 1]);
+        assert!(corrupt(&w.out).contains("3 values for 2 guarded lanes"));
+    }
+
+    #[test]
+    fn pc_delta_overflow_is_corrupt() {
+        // A visit at pc 5, then one whose delta overflows i64.
+        let mut w = launch(1);
+        w.varint(7);
+        w.out.extend_from_slice(&[TAG_VISIT, 0]);
+        w.zigzag(5);
+        w.out.extend_from_slice(&[0, 0, 1, 1, 0]);
+        w.out.extend_from_slice(&[TAG_VISIT, FLAG_SAME_CTX]);
+        w.zigzag(i64::MAX);
+        w.out.extend_from_slice(&[0, TAG_LAUNCH_END, TAG_EOF, 2]);
+        assert!(corrupt(&w.out).contains("pc delta"));
+    }
+
+    #[test]
+    fn values_go_on_the_wire_lane_major() {
+        // Two guarded lanes (1 and 3) × two registers, register-major in
+        // the arena: [a1, a3, b1, b3]. The v1 wire holds a1 b1 a3 b3.
+        let mut visits = Visits::default();
+        visits.push(Visit {
+            pc: 0,
+            when: When::After,
+            block: 0,
+            warp: 0,
+            exec_mask: 0b1010,
+            guarded_mask: 0b1010,
+            exceptional: false,
+            values: &[10, 11, 20, 21],
+        });
+        let mut t = sample_trace();
+        t.launches[0].visits = visits;
+        let bytes = t.to_bytes();
+        let tail = [TAG_VISIT, 0b01, 0, 0, 0, 0b1010, 0b1010, 4, 10, 20, 11, 21];
+        let at = bytes.len() - tail.len() - 3;
+        assert_eq!(bytes[at..at + tail.len()], tail);
+        assert_eq!(Trace::from_bytes(&bytes).unwrap(), t);
+    }
+
+    #[test]
+    fn xor_partner_with_another_lane_count_pairs_by_wire_index() {
+        // Equal value counts over different lane counts still XOR-encode:
+        // element i of the wire pairs with element i of the previous
+        // visit's wire, whatever lanes and registers they belong to.
+        let mut t = sample_trace();
+        let mut visits = Visits::default();
+        for (guarded, values) in [(0b11u32, [1u32, 2, 3, 4]), (0b1111, [1, 3, 5, 7])] {
+            visits.push(Visit {
+                pc: 4,
+                when: When::Before,
+                block: 1,
+                warp: 2,
+                exec_mask: guarded,
+                guarded_mask: guarded,
+                exceptional: false,
+                values: &values,
+            });
+        }
+        t.launches[0].visits = visits;
+        let bytes = t.to_bytes();
+        // Wire of the first: lanes (0,1) × regs (a,b) = 1 3 2 4; of the
+        // second: lanes 0..4 × one reg = 1 3 5 7; XOR = 0 0 7 3.
+        let tail = [
+            TAG_VISIT,
+            FLAG_XOR_VALUES,
+            0,
+            1,
+            2,
+            0b1111,
+            0b1111,
+            4,
+            0,
+            0,
+            7,
+            3,
+        ];
+        let at = bytes.len() - tail.len() - 3;
+        assert_eq!(bytes[at..at + tail.len()], tail);
+        assert_eq!(Trace::from_bytes(&bytes).unwrap(), t);
+    }
+
+    #[test]
+    fn visits_never_straddle_arena_blocks() {
+        // 96 values, then three of the most a visit can hold: the second
+        // large one does not fit behind the first and opens block 1, where
+        // it is XOR-encoded against its partner in block 0; the third
+        // fills block 1 exactly, and an empty visit follows.
+        let big = |seed: u32| -> Vec<u32> {
+            (0..MAX_VISIT_VALUES as u32)
+                .map(|i| i.wrapping_mul(0x9e37_79b9) ^ seed)
+                .collect()
+        };
+        let small: Vec<u32> = (0..96).collect();
+        let (a, b, c) = (big(1), big(2), big(3));
+        let mut visits = Visits::default();
+        for (pc, values) in [(0, &small[..]), (1, &a), (2, &b), (3, &c), (4, &[])] {
+            visits.push(Visit {
+                pc,
+                when: When::After,
+                block: 0,
+                warp: 0,
+                exec_mask: u32::MAX,
+                guarded_mask: u32::MAX,
+                exceptional: false,
+                values,
+            });
+        }
+        assert_eq!(visits.values.len(), 2);
+        assert_eq!(visits.values[1].len(), BLOCK);
+        let got: Vec<&[u32]> = visits.iter().map(|v| v.values).collect();
+        assert_eq!(got, [&small[..], &a, &b, &c, &[]]);
+        let mut t = sample_trace();
+        t.launches[0].visits = visits;
+        let back = Trace::from_bytes(&t.to_bytes()).unwrap();
+        assert_eq!(back, t);
+        assert_eq!(back.launches[0].visits.values.len(), 2);
+    }
+
+    #[test]
+    fn to_bytes_allocates_the_encoded_length_exactly() {
+        let bytes = sample_trace().to_bytes();
+        assert_eq!(bytes.capacity(), bytes.len());
+    }
+
+    #[test]
+    fn visits_beyond_256_registers_are_corrupt() {
+        let mut w = launch(1);
+        w.varint(7);
+        w.out.extend_from_slice(&[TAG_VISIT, 0, 0, 0, 0]);
+        w.varint(u32::MAX as u64);
+        w.varint(u32::MAX as u64);
+        let n = MAX_VISIT_VALUES + 32;
+        w.varint(n as u64);
+        w.out.resize(w.out.len() + n, 0);
+        w.out.extend_from_slice(&[TAG_LAUNCH_END, TAG_EOF, 1]);
+        assert!(corrupt(&w.out).contains("more than 32 lanes of 256 registers"));
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod replay;
 
 pub use cache::{CacheError, CacheKey, ResultCache};
 pub use export::{chrome_trace, prof_chrome_trace};
-pub use format::{Trace, TraceError};
+pub use format::{Trace, TraceError, Visit, Visits};
 pub use record::{record, RecordError, TraceRecorder};
 pub use replay::{Replayed, TraceReplayer};
 
@@ -47,7 +47,7 @@ pub struct Metrics {
     pub bytes: u64,
     pub kernels: usize,
     pub launches: usize,
-    /// Channel pushes performed (by the recorder, or by the replayed tool).
+    /// Channel pushes the replayed tool performed.
     pub channel_pushes: Option<u64>,
     pub gt_hits: Option<u64>,
     pub gt_misses: Option<u64>,

@@ -35,17 +35,18 @@
 //! ⟨launch, block, seq⟩ channel merge produces — the order replay
 //! re-executes them in.
 
-use crate::format::{kernel_checksum, KernelMeta, LaunchTrace, Trace, Visit};
+use crate::format::{kernel_checksum, KernelMeta, LaunchTrace, Trace, Visit, Visits};
 use fpx_nvbit::tool::Inserter;
 use fpx_sass::instr::Instruction;
 use fpx_sass::kernel::KernelCode;
 use fpx_sass::operand::{Operand, RZ};
-use fpx_sass::types::FpFormat;
+use fpx_sass::types::{row_exceptional_f16, row_exceptional_f32, row_exceptional_f64, FpFormat};
 use fpx_sim::exec::{lanes_of, SimError};
 use fpx_sim::gpu::{Arch, Gpu, LaunchConfig};
 use fpx_sim::hooks::{
     DeviceFn, HostChannel, InjectionCtx, InstrumentedCode, Phase, PushOrigin, When,
 };
+use fpx_sim::warp::WarpLanes;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -67,6 +68,28 @@ pub enum SlotFmt {
 pub struct RegSlot {
     pub reg: u8,
     pub fmt: SlotFmt,
+}
+
+impl RegSlot {
+    /// The `active` lanes whose value in this slot is NaN, INF or
+    /// subnormal. Pair partners saturate like [`referenced_regs`], so the
+    /// rows read are exactly the recorded registers.
+    fn exceptional_lanes(&self, lanes: &WarpLanes, active: u32) -> u32 {
+        match self.fmt {
+            SlotFmt::F32 => row_exceptional_f32(lanes.reg_row(self.reg), active),
+            SlotFmt::F16 => row_exceptional_f16(lanes.reg_row(self.reg), active),
+            SlotFmt::F64Pair => row_exceptional_f64(
+                lanes.reg_row(self.reg),
+                lanes.reg_row(self.reg.saturating_add(1)),
+                active,
+            ),
+            SlotFmt::F64Hi => row_exceptional_f64(
+                lanes.reg_row(self.reg.saturating_sub(1)),
+                lanes.reg_row(self.reg),
+                active,
+            ),
+        }
+    }
 }
 
 /// The register slots (dest first, then register sources) any tool's
@@ -122,36 +145,17 @@ pub fn referenced_regs(instr: &Instruction) -> Vec<u8> {
     regs
 }
 
-fn f32_exceptional(bits: u32) -> bool {
-    let exp = (bits >> 23) & 0xff;
-    let frac = bits & 0x7f_ffff;
-    exp == 0xff || (exp == 0 && frac != 0)
-}
-
-fn f64_exceptional(lo: u32, hi: u32) -> bool {
-    let bits = ((hi as u64) << 32) | lo as u64;
-    let exp = (bits >> 52) & 0x7ff;
-    let frac = bits & 0xf_ffff_ffff_ffff;
-    exp == 0x7ff || (exp == 0 && frac != 0)
-}
-
-fn f16_exceptional(bits: u16) -> bool {
-    let exp = (bits >> 10) & 0x1f;
-    let frac = bits & 0x3ff;
-    exp == 0x1f || (exp == 0 && frac != 0)
-}
-
 /// Shared state between the recording pass's injected functions and the
 /// launch loop: the visit stream (in execution order) and the per-block
 /// cycle samples delivered by the simulator's `block_done` hook.
 #[derive(Default)]
 struct RecordSink {
-    visits: Mutex<Vec<Visit>>,
+    visits: Mutex<Visits>,
     blocks: Mutex<Vec<(u32, u64)>>,
 }
 
 impl RecordSink {
-    fn take_visits(&self) -> Vec<Visit> {
+    fn take_visits(&self) -> Visits {
         std::mem::take(&mut *self.visits.lock().expect("recorder poisoned"))
     }
 
@@ -176,82 +180,49 @@ impl HostChannel for RecordSink {
     }
 }
 
-/// The recorder's injected function: reads the referenced registers,
-/// classifies the referenced slots, and appends one [`Visit`] to the
-/// sink. Charges nothing and pushes nothing through the channel — the
-/// engine's fixed per-invocation `injected_call` charge (zero runtime
-/// arguments) is the recording pass's *entire* overhead, which
-/// [`TraceRecorder`] subtracts back out.
-///
-/// `checks` maps each [`RegSlot`] to indices into the per-lane stretch
-/// of the collected value buffer `(fmt, lo, hi)`, so classification
-/// reads the values just captured instead of going back to the register
-/// file.
+/// The recorder's injected function: classifies the referenced slots
+/// and appends one visit to the sink, its values copied straight from
+/// the register rows. Charges nothing and pushes nothing through the
+/// channel — the engine's fixed per-invocation `injected_call` charge
+/// (zero runtime arguments) is the recording pass's *entire* overhead,
+/// which [`TraceRecorder`] subtracts back out.
 struct RecordFn {
     when: When,
     regs: Arc<[u8]>,
-    checks: Arc<[(SlotFmt, u16, u16)]>,
+    slots: Arc<[RegSlot]>,
     sink: Arc<RecordSink>,
-}
-
-/// Per-lane value-buffer indices for each slot of `instr` (see
-/// [`RecordFn::checks`]).
-fn slot_checks(instr: &Instruction) -> Vec<(SlotFmt, u16, u16)> {
-    let regs = referenced_regs(instr);
-    let idx = |r: u8| {
-        regs.iter()
-            .position(|&x| x == r)
-            .expect("slot reg recorded") as u16
-    };
-    referenced_slots(instr)
-        .into_iter()
-        .map(|slot| match slot.fmt {
-            SlotFmt::F32 | SlotFmt::F16 => (slot.fmt, idx(slot.reg), 0),
-            SlotFmt::F64Pair => (slot.fmt, idx(slot.reg), idx(slot.reg.saturating_add(1))),
-            SlotFmt::F64Hi => (slot.fmt, idx(slot.reg.saturating_sub(1)), idx(slot.reg)),
-        })
-        .collect()
 }
 
 impl DeviceFn for RecordFn {
     fn call(&self, ctx: &mut InjectionCtx<'_, '_>) {
-        let lanes = ctx.guarded_mask.count_ones() as usize;
-        let nregs = self.regs.len();
-        let mut values = Vec::with_capacity(lanes * nregs);
-        for lane in lanes_of(ctx.guarded_mask) {
+        let guarded = ctx.guarded_mask;
+        let lanes = &*ctx.lanes;
+        let exceptional = self
+            .slots
+            .iter()
+            .any(|s| s.exceptional_lanes(lanes, guarded) != 0);
+        let head = Visit {
+            pc: ctx.pc,
+            when: self.when,
+            block: ctx.block,
+            warp: ctx.warp as u8,
+            exec_mask: ctx.exec_mask,
+            guarded_mask: guarded,
+            exceptional,
+            values: &[],
+        };
+        let mut visits = self.sink.visits.lock().expect("recorder poisoned");
+        let n = self.regs.len() * guarded.count_ones() as usize;
+        visits.push_with(head, n, |block| {
             for &r in self.regs.iter() {
-                values.push(ctx.lanes.reg(lane, r));
-            }
-        }
-        let mut exceptional = false;
-        'classify: for lane in values.chunks_exact(nregs) {
-            for &(fmt, lo, hi) in self.checks.iter() {
-                exceptional |= match fmt {
-                    SlotFmt::F32 => f32_exceptional(lane[lo as usize]),
-                    SlotFmt::F16 => f16_exceptional(lane[lo as usize] as u16),
-                    SlotFmt::F64Pair | SlotFmt::F64Hi => {
-                        f64_exceptional(lane[lo as usize], lane[hi as usize])
-                    }
-                };
-                if exceptional {
-                    break 'classify;
+                let row = lanes.reg_row(r);
+                if guarded == u32::MAX {
+                    block.extend_from_slice(row);
+                } else {
+                    block.extend(lanes_of(guarded).map(|lane| row[lane as usize]));
                 }
             }
-        }
-        self.sink
-            .visits
-            .lock()
-            .expect("recorder poisoned")
-            .push(Visit {
-                pc: ctx.pc,
-                when: self.when,
-                block: ctx.block,
-                warp: ctx.warp as u8,
-                exec_mask: ctx.exec_mask,
-                guarded_mask: ctx.guarded_mask,
-                exceptional,
-                values,
-            });
+        });
     }
 
     fn num_runtime_args(&self) -> u32 {
@@ -352,14 +323,14 @@ impl TraceRecorder {
             if regs.is_empty() {
                 continue;
             }
-            let checks: Arc<[(SlotFmt, u16, u16)]> = slot_checks(instr).into();
+            let slots: Arc<[RegSlot]> = referenced_slots(instr).into();
             let mut inserter = Inserter::new(&mut ic, pc);
             inserter.insert_call(
                 When::Before,
                 Arc::new(RecordFn {
                     when: When::Before,
                     regs: Arc::clone(&regs),
-                    checks: Arc::clone(&checks),
+                    slots: Arc::clone(&slots),
                     sink: Arc::clone(&self.sink),
                 }),
             );
@@ -368,7 +339,7 @@ impl TraceRecorder {
                 Arc::new(RecordFn {
                     when: When::After,
                     regs,
-                    checks,
+                    slots,
                     sink: Arc::clone(&self.sink),
                 }),
             );
@@ -399,7 +370,7 @@ impl TraceRecorder {
         let visits = self.sink.take_visits();
         let measured_blocks = self.sink.take_blocks();
         let mut per_block = vec![0u64; measured_blocks.len()];
-        for v in &visits {
+        for v in visits.iter() {
             if let Some(n) = per_block.get_mut(v.block as usize) {
                 *n += 1;
             }
@@ -463,7 +434,7 @@ impl TraceRecorder {
         let measured_blocks = self.sink.take_blocks();
         let mut per_block = vec![0u64; measured_blocks.len()];
         let mut charges_total = 0u64;
-        for v in &visits {
+        for v in visits.iter() {
             let at_site = mutators
                 .iter()
                 .filter(|(pc, when, _)| *pc == v.pc && *when == v.when)
@@ -567,12 +538,13 @@ mod tests {
         assert_eq!(l.plain_cycles, l.block_cycles[0]);
         // Two instrumented instructions × (Before + After).
         assert_eq!(l.visits.len(), 4);
-        assert_eq!(l.visits[0].when, When::Before);
-        assert_eq!(l.visits[1].when, When::After);
-        assert_eq!(l.visits[0].pc, 1);
-        assert_eq!(l.visits[2].pc, 2);
+        let visit = |i| l.visits.get(i).expect("recorded visit");
+        assert_eq!(visit(0).when, When::Before);
+        assert_eq!(visit(1).when, When::After);
+        assert_eq!(visit(0).pc, 1);
+        assert_eq!(visit(2).pc, 2);
         // After MUFU.RCP of 0, R1 holds +inf in every lane.
-        let after_rcp = &l.visits[1];
+        let after_rcp = visit(1);
         assert!(after_rcp.exceptional);
         assert_eq!(after_rcp.values.len(), 32 * 2);
         assert_eq!(after_rcp.values[0], f32::INFINITY.to_bits());
@@ -601,13 +573,15 @@ mod tests {
         let l = &trace.launches[0];
         // The After-visit at pc 1 sees the forced NaN, not the hardware
         // +inf — the mutator ran before the recorder at the same hook.
-        assert_eq!(l.visits[1].pc, 1);
-        assert_eq!(l.visits[1].values[0], 0x7fc0_0000);
-        assert!(l.visits[1].exceptional);
+        let visit = |i| l.visits.get(i).expect("recorded visit");
+        assert_eq!(visit(1).pc, 1);
+        assert_eq!(visit(1).values[0], 0x7fc0_0000);
+        assert!(visit(1).exceptional);
         // The Before-visit of the next instruction reads the NaN as its
-        // source (values are [dest R2, src R1] per referenced_regs).
-        assert_eq!(l.visits[2].pc, 2);
-        assert_eq!(l.visits[2].values[1], 0x7fc0_0000);
+        // source (registers are [dest R2, src R1] per referenced_regs, so
+        // R1's 32 lanes follow R2's).
+        assert_eq!(visit(2).pc, 2);
+        assert_eq!(visit(2).values[32], 0x7fc0_0000);
         // Baseline subtraction stays exact despite the extra mutator
         // charge at pc 1 (mutation changes no control flow here).
         let mut plain_gpu = Gpu::new(Arch::Ampere);

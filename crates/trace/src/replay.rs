@@ -25,7 +25,7 @@
 //! the live watchdog's warp-slice granularity, so a hung replay reports
 //! `hung = true` with an approximate cycle count.
 
-use crate::format::{kernel_checksum, Trace, TraceError};
+use crate::format::{kernel_checksum, Trace, TraceError, Visit};
 use crate::record::referenced_regs;
 use fpx_nvbit::channel::Channel;
 use fpx_nvbit::overhead::JitCost;
@@ -34,7 +34,7 @@ use fpx_obs::{Counter, JitBreakdown, LaunchObs, Obs};
 use fpx_prof::{Phase as ProfPhase, Prof};
 use fpx_sass::kernel::KernelCode;
 use fpx_sim::exec::lanes_of;
-use fpx_sim::hooks::{ChannelPort, InjectionCtx, InstrumentedCode};
+use fpx_sim::hooks::{ChannelPort, Injection, InjectionCtx, InstrumentedCode, When};
 use fpx_sim::mem::{ConstBanks, DeviceMemory};
 use fpx_sim::timing::{Clock, CostModel};
 use fpx_sim::warp::WarpLanes;
@@ -183,10 +183,10 @@ impl TraceReplayer {
             cost: &cost,
         });
 
-        // Instrumented-code cache, keyed by trace kernel id: the build
-        // happens once per kernel, the JIT cost recurs per launch —
-        // exactly the live `Nvbit` behaviour.
-        let mut cache: HashMap<u32, (Arc<InstrumentedCode>, Vec<Vec<u8>>)> = HashMap::new();
+        // Instrumentation per trace kernel id: the build happens once
+        // per kernel, the JIT cost recurs per launch — exactly the live
+        // `Nvbit` behaviour.
+        let mut hooks: Vec<Option<KernelHooks>> = self.kernels.iter().map(|_| None).collect();
         let mut records_total = 0u64;
         let mut instrumented = 0u64;
         let mut skipped = 0u64;
@@ -233,20 +233,9 @@ impl TraceReplayer {
             }
 
             let mut sp_jit = prof.span(ProfPhase::Jit);
-            let (ic, regs_by_pc) = cache.entry(lt.kernel).or_insert_with(|| {
-                let mut ic = InstrumentedCode::plain(Arc::clone(kernel));
-                let mut regs_by_pc = Vec::with_capacity(kernel.len());
-                for pc in 0..kernel.len() as u32 {
-                    let instr = kernel.instrs[pc as usize].clone();
-                    let mut inserter = Inserter::new(&mut ic, pc);
-                    tool.instrument_instruction(kernel, pc, &instr, &mut inserter);
-                    regs_by_pc.push(referenced_regs(&instr));
-                }
-                (Arc::new(ic), regs_by_pc)
-            });
-            let ic = Arc::clone(ic);
-            let regs_by_pc = std::mem::take(regs_by_pc);
-            let jit_cycles = jit.cycles(kernel.len(), ic.injection_count());
+            let kh = hooks[lt.kernel as usize]
+                .get_or_insert_with(|| KernelHooks::build(&mut tool, kernel));
+            let jit_cycles = jit.cycles(kernel.len(), kh.injections);
             clock.charge(jit_cycles);
             sp_jit.add_cycles(jit_cycles);
             drop(sp_jit);
@@ -264,36 +253,34 @@ impl TraceReplayer {
             let mut lanes = WarpLanes::new(kernel.num_regs);
             let mut launch_hung = false;
             {
-                let mut ports: HashMap<u32, ChannelPort<'_>> = HashMap::new();
-                for v in &lt.visits {
-                    let Some(regs) = regs_by_pc.get(v.pc as usize) else {
+                // One port per block, opened at the block's first push.
+                let mut ports: Vec<Option<ChannelPort<'_>>> =
+                    lt.block_cycles.iter().map(|_| None).collect();
+                for v in lt.visits.iter() {
+                    let Some(regs) = kh.regs.get(v.pc as usize) else {
                         break; // pc out of range: stale trace, stop feeding
                     };
-                    if v.values.len() != v.guarded_mask.count_ones() as usize * regs.len() {
+                    if v.values.len() != v.lanes() * regs.len() {
                         break; // value layout mismatch: stop feeding
                     }
+                    let Some(port) = ports.get_mut(v.block as usize) else {
+                        break; // block out of range: stop feeding
+                    };
                     visits_replayed += 1;
                     // Every visit carries all the registers its injected
                     // functions read, so visits without a matching
                     // injection (e.g. Before visits under a tool that
                     // only instruments After) need no register staging —
                     // and, as live, cost no cycles.
-                    if !ic.injections[v.pc as usize]
-                        .iter()
-                        .any(|inj| inj.when == v.when)
-                    {
+                    let injections = kh.at(v.pc, v.when);
+                    if injections.is_empty() {
                         continue;
                     }
-                    let mut vi = v.values.iter();
-                    for lane in lanes_of(v.guarded_mask) {
-                        for &r in regs {
-                            lanes.set_reg(lane, r, *vi.next().expect("length checked"));
-                        }
-                    }
-                    for inj in &ic.injections[v.pc as usize] {
-                        if inj.when != v.when {
-                            continue;
-                        }
+                    stage(&mut lanes, regs, &v);
+                    let port = port.get_or_insert_with(|| {
+                        ChannelPort::new(&channel, launch_index as u64, v.block)
+                    });
+                    for inj in injections {
                         let call_cycles =
                             cost.injected_call + cost.injected_arg * inj.args() as u64;
                         clock.charge(call_cycles);
@@ -306,9 +293,6 @@ impl TraceReplayer {
                             coach_calls += 1;
                             coach_cycles += call_cycles;
                         }
-                        let port = ports.entry(v.block).or_insert_with(|| {
-                            ChannelPort::new(&channel, launch_index as u64, v.block)
-                        });
                         let mut ctx = InjectionCtx {
                             kernel_name: &kernel.name,
                             launch_id: launch_index as u64,
@@ -333,19 +317,16 @@ impl TraceReplayer {
                         break;
                     }
                 }
-                // Ship every port's staged partial batch, exactly as live
-                // flushes at block end (and on the watchdog error path).
-                // Mid-stream cap flushes already happened inside `stage`,
-                // so batch boundaries — and the amortized base cost —
-                // match the live run's per-block composition.
-                for port in ports.values_mut() {
+                // Ship every port's staged partial batch, in block order,
+                // exactly as live flushes at block end (and on the
+                // watchdog error path). Mid-stream cap flushes already
+                // happened inside `ChannelPort::stage`, so batch
+                // boundaries — and the amortized base cost — match the
+                // live run's per-block composition.
+                for port in ports.iter_mut().flatten() {
                     let flushed = port.flush();
                     clock.charge(flushed);
                 }
-            }
-            // Restore the regs cache entry taken above.
-            if let Some(entry) = cache.get_mut(&lt.kernel) {
-                entry.1 = regs_by_pc;
             }
             let exec_cycles = clock.cycles() - exec_start;
             let push_delta = channel.total_push_cycles() - push_cycles_before;
@@ -408,11 +389,11 @@ impl TraceReplayer {
                     kernel,
                     lt,
                     true,
-                    ic.injection_count() as u64,
+                    kh.injections as u64,
                     JitBreakdown {
                         base: jit.base,
                         per_instr: jit.per_instr * kernel.len() as u64,
-                        per_injection: jit.per_injection * ic.injection_count() as u64,
+                        per_injection: jit.per_injection * kh.injections as u64,
                     },
                     exec_cycles,
                     inj_calls,
@@ -443,6 +424,76 @@ impl TraceReplayer {
             hung,
             visits_replayed,
             channel_pushes: channel.total_pushes(),
+        }
+    }
+}
+
+/// One kernel's instrumentation as replay reads it: each hook point's
+/// injections, found by ⟨pc, when⟩ without rescanning the pc's list, and
+/// the registers each pc's visits stage.
+struct KernelHooks {
+    /// `by_pc[pc][when]`: the injections at that hook point, in the
+    /// order the engine runs them (mutators first, then registration
+    /// order).
+    by_pc: Vec<[Vec<Injection>; 2]>,
+    /// `regs[pc]`: the registers a visit at `pc` carries, in recorded
+    /// order ([`referenced_regs`]).
+    regs: Vec<Vec<u8>>,
+    /// Total injections attached (the JIT charge scales with this).
+    injections: usize,
+}
+
+impl KernelHooks {
+    /// Instrument `kernel` with `tool` and index the result.
+    fn build<T: NvbitTool>(tool: &mut T, kernel: &Arc<KernelCode>) -> KernelHooks {
+        let mut ic = InstrumentedCode::plain(Arc::clone(kernel));
+        let mut regs = Vec::with_capacity(kernel.len());
+        for pc in 0..kernel.len() as u32 {
+            let instr = kernel.instrs[pc as usize].clone();
+            let mut inserter = Inserter::new(&mut ic, pc);
+            tool.instrument_instruction(kernel, pc, &instr, &mut inserter);
+            regs.push(referenced_regs(&instr));
+        }
+        let injections = ic.injection_count();
+        let by_pc = ic
+            .injections
+            .into_iter()
+            .map(|list| {
+                let (before, after) = list.into_iter().partition(|i| i.when == When::Before);
+                [before, after]
+            })
+            .collect();
+        KernelHooks {
+            by_pc,
+            regs,
+            injections,
+        }
+    }
+
+    /// The injections at ⟨`pc`, `when`⟩ (`pc` is in range: its `regs`
+    /// entry was found first).
+    #[inline]
+    fn at(&self, pc: u32, when: When) -> &[Injection] {
+        &self.by_pc[pc as usize][(when == When::After) as usize]
+    }
+}
+
+/// Write `v`'s values into `lanes`: one row copy per register for a
+/// full-mask visit, lane by lane into the guarded lanes otherwise.
+fn stage(lanes: &mut WarpLanes, regs: &[u8], v: &Visit<'_>) {
+    let k = v.lanes();
+    if k == 0 {
+        return;
+    }
+    if v.guarded_mask == u32::MAX {
+        for (&r, row) in regs.iter().zip(v.values.chunks_exact(32)) {
+            lanes.set_reg_row(r, row.try_into().expect("a 32-lane row"));
+        }
+    } else {
+        for (&r, row) in regs.iter().zip(v.values.chunks_exact(k)) {
+            for (lane, &x) in lanes_of(v.guarded_mask).zip(row) {
+                lanes.set_reg(lane, r, x);
+            }
         }
     }
 }
@@ -507,4 +558,49 @@ fn observe_replayed_launch(
         records,
         sm_cycles: Vec::new(),
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn visit(guarded_mask: u32, values: &[u32]) -> Visit<'_> {
+        Visit {
+            pc: 0,
+            when: When::Before,
+            block: 0,
+            warp: 0,
+            exec_mask: guarded_mask,
+            guarded_mask,
+            exceptional: false,
+            values,
+        }
+    }
+
+    #[test]
+    fn stage_writes_rows_and_scatters_partial_masks() {
+        let mut lanes = WarpLanes::new(8);
+        // Full mask: one row per register.
+        let full: Vec<u32> = (0..64).collect();
+        stage(&mut lanes, &[2, 5], &visit(u32::MAX, &full));
+        for lane in 0..32 {
+            assert_eq!(lanes.reg(lane, 2), lane);
+            assert_eq!(lanes.reg(lane, 5), 32 + lane);
+        }
+        // Lanes 1, 3 and 30, register-major: R2's three lanes, then R5's.
+        let partial = [100, 101, 102, 200, 201, 202];
+        stage(
+            &mut lanes,
+            &[2, 5],
+            &visit(1 << 1 | 1 << 3 | 1 << 30, &partial),
+        );
+        for (lane, r2, r5) in [(1, 100, 200), (3, 101, 201), (30, 102, 202)] {
+            assert_eq!(lanes.reg(lane, 2), r2, "lane {lane}");
+            assert_eq!(lanes.reg(lane, 5), r5, "lane {lane}");
+        }
+        // Unguarded lanes keep what the full-mask visit staged.
+        assert_eq!(lanes.reg(0, 2), 0);
+        assert_eq!(lanes.reg(2, 5), 34);
+        assert_eq!(lanes.reg(31, 2), 31);
+    }
 }

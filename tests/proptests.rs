@@ -4,8 +4,9 @@
 use fpx_sass::op::{BaseOp, CmpOp, MufuFunc};
 use fpx_sass::operand::{Operand, RZ};
 use fpx_sass::types::{
-    classify_f32, classify_f64, f64_bits_to_pair, pair_to_f64_bits, ExceptionKind, FpClass,
-    FpFormat,
+    classify_f32, classify_f64, f64_bits_to_pair, pair_to_f64_bits, row_class_masks_f16,
+    row_class_masks_f32, row_class_masks_f64, row_exceptional_f16, row_exceptional_f32,
+    row_exceptional_f64, ExceptionKind, FpClass, FpFormat,
 };
 use fpx_sass::{assemble, Instruction};
 use gpu_fpx::record::ExceptionRecord;
@@ -28,7 +29,63 @@ fn arb_fp_format() -> impl Strategy<Value = FpFormat> {
     ]
 }
 
+/// Raw bits of a float format with `exp_bits` exponent and `man_bits`
+/// mantissa bits, weighted toward the classes the row tests separate:
+/// NaN payloads, ±INF, subnormals, ±0, and arbitrary bits.
+fn arb_float_bits(exp_bits: u32, man_bits: u32) -> impl Strategy<Value = u64> {
+    let sign = 1u64 << (exp_bits + man_bits);
+    let exp = ((1u64 << exp_bits) - 1) << man_bits;
+    let man = (1u64 << man_bits) - 1;
+    let signed = move |s: bool, bits: u64| if s { bits | sign } else { bits };
+    prop_oneof![
+        (any::<bool>(), 1..=man).prop_map(move |(s, m)| signed(s, exp | m)),
+        any::<bool>().prop_map(move |s| signed(s, exp)),
+        (any::<bool>(), 1..=man).prop_map(move |(s, m)| signed(s, m)),
+        any::<bool>().prop_map(move |s| signed(s, 0)),
+        any::<u64>().prop_map(move |b| b & (sign | exp | man)),
+    ]
+}
+
+/// A warp-wide row of such values.
+fn arb_row(exp_bits: u32, man_bits: u32) -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec(arb_float_bits(exp_bits, man_bits), 32..33)
+}
+
+/// Active masks: arbitrary, full and empty.
+fn arb_active() -> impl Strategy<Value = u32> {
+    prop_oneof![any::<u32>(), Just(u32::MAX), Just(0)]
+}
+
 proptest! {
+    /// The one-mask row tests equal the exceptional lanes of the full
+    /// per-class masks, for every format and active mask.
+    #[test]
+    fn row_exceptional_equals_class_masks(
+        r32 in arb_row(8, 23),
+        r64 in arb_row(11, 52),
+        r16 in arb_row(5, 10),
+        high in any::<u16>(),
+        active in arb_active(),
+    ) {
+        let row32: [u32; 32] = std::array::from_fn(|l| r32[l] as u32);
+        prop_assert_eq!(
+            row_exceptional_f32(&row32, active),
+            row_class_masks_f32(&row32, active).exceptional()
+        );
+        let lo: [u32; 32] = std::array::from_fn(|l| f64_bits_to_pair(r64[l]).0);
+        let hi: [u32; 32] = std::array::from_fn(|l| f64_bits_to_pair(r64[l]).1);
+        prop_assert_eq!(
+            row_exceptional_f64(&lo, &hi, active),
+            row_class_masks_f64(&lo, &hi, active).exceptional()
+        );
+        // FP16 lives in the low half-word; the high half is ignored.
+        let row16: [u32; 32] = std::array::from_fn(|l| (high as u32) << 16 | r16[l] as u32);
+        prop_assert_eq!(
+            row_exceptional_f16(&row16, active),
+            row_class_masks_f16(&row16, active).exceptional()
+        );
+    }
+
     /// Bit-level classification agrees with Rust's own float predicates.
     #[test]
     fn classify_f32_agrees_with_std(bits in any::<u32>()) {
