@@ -12,8 +12,8 @@
 //! The committed baseline lives in `BENCH_inject.json` at the repo root.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fpx_inject::{run_campaign, Backend, CampaignConfig};
-use fpx_suite::runner::{self, RunnerConfig, Tool};
+use fpx_inject::{run_campaign, CampaignConfig};
+use fpx_suite::runner::{self, RunnerConfig, Tool, ToolKind};
 use gpu_fpx::detector::DetectorConfig;
 
 const PROGRAM: &str = "GRAMSCHM";
@@ -22,7 +22,7 @@ fn detector_cfg(trials: u32) -> CampaignConfig {
     CampaignConfig {
         seed: 7,
         trials,
-        backends: vec![Backend::Detector],
+        backends: vec![ToolKind::Detector],
         ..CampaignConfig::default()
     }
 }

@@ -89,6 +89,8 @@
 //!   --interval MS     (top) refresh period in milliseconds (default 1000)
 //! ```
 
+use fpx_serve::JobSpec;
+use fpx_suite::runner::{Tool, ToolKind};
 use std::fmt;
 
 /// A parsed kernel-parameter specification.
@@ -103,16 +105,6 @@ pub enum ParamSpec {
     Randn(u32),
     Uninit(u32),
     Out(u32),
-}
-
-/// Which tool to load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ToolKind {
-    #[default]
-    Detector,
-    Analyzer,
-    BinFpe,
-    Shadow,
 }
 
 /// Common run options.
@@ -154,9 +146,9 @@ pub struct RunOpts {
     pub programs: Vec<String>,
     /// `--max-faults N` (inject): faults per trial ceiling.
     pub max_faults: u32,
-    /// `--backends A,B,..` (inject): backend columns to score; empty =
-    /// the default detector/analyzer/binfpe set.
-    pub backends: Vec<fpx_inject::Backend>,
+    /// `--backends A,B,..` (inject): backend columns to score, each named
+    /// once; empty = the default detector/analyzer/binfpe set.
+    pub backends: Vec<ToolKind>,
     /// `--precision-faults` (inject): arm silent p-flip faults.
     pub precision_faults: bool,
     /// `--trace-dir DIR` (inject campaign): record missed trials here.
@@ -252,14 +244,33 @@ impl Default for RunOpts {
 }
 
 impl RunOpts {
-    /// The shadow-sanitizer configuration these options describe.
-    pub fn shadow_config(&self) -> fpx_shadow::ShadowConfig {
-        fpx_shadow::ShadowConfig {
-            mode: self.shadow_mode,
-            ulp_budget: self.ulp_budget,
-            cancel_threshold: self.cancel_threshold,
-            ..fpx_shadow::ShadowConfig::default()
+    /// The job these options describe for `program` — the one place the
+    /// CLI maps its tool flags. `suite run` and `serve submit` run it as
+    /// is; every other command configures its tools through it.
+    pub fn job_spec(&self, program: &str) -> JobSpec {
+        JobSpec {
+            program: program.to_string(),
+            tool: self.tool,
+            arch: self.arch,
+            fast_math: self.fast_math,
+            freq_redn_factor: self.freq_redn_factor,
+            use_gt: self.use_gt,
+            device_checking: self.device_checking,
+            json: self.json,
+            chains_dot: self.chains_dot.is_some(),
+            shadow_mode: self.shadow_mode,
+            shadow_ulp_budget: self.ulp_budget,
+            shadow_cancel_threshold: self.cancel_threshold,
         }
+    }
+
+    /// `kind` configured by these options.
+    pub fn runner_tool(&self, kind: ToolKind) -> Tool {
+        JobSpec {
+            tool: kind,
+            ..self.job_spec("")
+        }
+        .runner_tool()
     }
 
     /// The SM worker-pool size to configure on the simulated GPU:
@@ -406,17 +417,12 @@ fn parse_opts(args: &[String]) -> Result<RunOpts, ArgError> {
                 };
             }
             "--tool" => {
-                o.tool = match it.next().map(|s| s.as_str()) {
-                    Some("detector") => ToolKind::Detector,
-                    Some("analyzer") => ToolKind::Analyzer,
-                    Some("binfpe") => ToolKind::BinFpe,
-                    Some("shadow") => ToolKind::Shadow,
-                    other => {
-                        return Err(err(format!(
-                            "--tool: detector|analyzer|binfpe|shadow, got {other:?}"
-                        )))
-                    }
-                };
+                let v = it.next().map(|s| s.as_str());
+                o.tool = v.and_then(ToolKind::parse).ok_or_else(|| {
+                    err(format!(
+                        "--tool: detector|analyzer|binfpe|shadow, got {v:?}"
+                    ))
+                })?;
             }
             "--shadow-mode" => {
                 let v = it.next().map(|s| s.as_str());
@@ -449,16 +455,18 @@ fn parse_opts(args: &[String]) -> Result<RunOpts, ArgError> {
             }
             "--backends" => {
                 let list = it.next().ok_or_else(|| err("--backends needs a list"))?;
-                o.backends = list
-                    .split(',')
-                    .map(|s| {
-                        fpx_inject::Backend::from_label(s.trim()).ok_or_else(|| {
-                            err(format!(
-                                "--backends: detector|analyzer|binfpe|shadow, got {s:?}"
-                            ))
-                        })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
+                o.backends.clear();
+                for s in list.split(',') {
+                    let b = ToolKind::parse(s.trim()).ok_or_else(|| {
+                        err(format!(
+                            "--backends: detector|analyzer|binfpe|shadow, got {s:?}"
+                        ))
+                    })?;
+                    if o.backends.contains(&b) {
+                        return Err(err(format!("--backends: {} named twice", b.label())));
+                    }
+                    o.backends.push(b);
+                }
             }
             "--precision-faults" => o.precision_faults = true,
             "--preset" => {
@@ -1017,7 +1025,7 @@ mod tests {
                 assert_eq!(opts.shadow_mode, fpx_shadow::ShadowMode::Rpc);
                 assert_eq!(opts.ulp_budget, 0.5);
                 assert_eq!(opts.cancel_threshold, 12);
-                let sc = opts.shadow_config();
+                let sc = opts.job_spec("k.sass").shadow_config();
                 assert_eq!(sc.mode, fpx_shadow::ShadowMode::Rpc);
                 assert_eq!(sc.ulp_budget, 0.5);
                 assert_eq!(sc.cancel_threshold, 12);
@@ -1083,10 +1091,7 @@ mod tests {
                 assert_eq!(opts.trials, 256);
                 assert_eq!(opts.max_faults, 2);
                 assert_eq!(opts.trace_dir.as_deref(), Some("out"));
-                assert_eq!(
-                    opts.backends,
-                    vec![fpx_inject::Backend::Detector, fpx_inject::Backend::Shadow]
-                );
+                assert_eq!(opts.backends, vec![ToolKind::Detector, ToolKind::Shadow]);
                 assert!(opts.precision_faults);
             }
             other => panic!("{other:?}"),
@@ -1096,6 +1101,14 @@ mod tests {
             "silent faults and the shadow column are strictly opt-in"
         );
         assert!(parse(&s(&["inject", "campaign", "--backends", "bogus"])).is_err());
+        let repeated = parse(&s(&[
+            "inject",
+            "campaign",
+            "--backends",
+            "detector,shadow,detector",
+        ]))
+        .unwrap_err();
+        assert_eq!(repeated.0, "--backends: detector named twice");
         match parse(&s(&[
             "inject",
             "replay",

@@ -1,7 +1,7 @@
 //! Command execution: stage parameters, load the tool, run, and render
 //! reports to a writer (so tests can capture the output).
 
-use crate::args::{ParamSpec, RunOpts, ToolKind};
+use crate::args::{ParamSpec, RunOpts};
 use fpx_binfpe::BinFpe;
 use fpx_compiler::CompileOpts;
 use fpx_nvbit::tool::NvbitTool;
@@ -11,11 +11,12 @@ use fpx_prof::{Phase as ProfPhase, Prof};
 use fpx_sass::kernel::KernelCode;
 use fpx_shadow::Shadow;
 use fpx_sim::gpu::{Gpu, LaunchConfig, ParamValue};
-use fpx_suite::runner::{self, RunnerConfig, Tool};
+use fpx_suite::runner::{self, RunnerConfig, Tool, ToolKind};
 use fpx_suite::stress::{stress_search, StressConfig};
-use gpu_fpx::analyzer::{Analyzer, AnalyzerConfig};
-use gpu_fpx::chains::{chains_dot, flow_chains};
-use gpu_fpx::detector::{Detector, DetectorConfig};
+use gpu_fpx::analyzer::Analyzer;
+use gpu_fpx::chains::{chains_dot, flow_chains, FlowChain};
+use gpu_fpx::detector::Detector;
+use gpu_fpx::report::DetectorReport;
 use std::io::Write;
 use std::sync::Arc;
 
@@ -58,13 +59,19 @@ fn stage_params(
     Ok(out)
 }
 
-fn detector_config(opts: &RunOpts) -> DetectorConfig {
-    DetectorConfig {
-        use_gt: opts.use_gt,
-        freq_redn_factor: opts.freq_redn_factor,
-        whitelist: None,
-        device_checking: opts.device_checking,
-    }
+/// The runner configuration these options describe, with the given
+/// metrics and profiling handles.
+fn runner_config(opts: &RunOpts, obs: Obs, prof: Prof) -> RunnerConfig {
+    let mut rc = RunnerConfig {
+        arch: opts.arch,
+        threads: opts.resolved_threads(),
+        obs,
+        prof,
+        ..RunnerConfig::default()
+    };
+    rc.opts.arch = opts.arch;
+    rc.opts.fast_math = opts.fast_math;
+    rc
 }
 
 /// An enabled metrics handle when `--metrics` was given, else disabled.
@@ -129,105 +136,14 @@ pub fn load_kernel(path: &str) -> Result<Arc<KernelCode>, CliError> {
     Ok(Arc::new(code))
 }
 
-fn launch_cfg(opts: &RunOpts, params: Vec<ParamValue>) -> LaunchConfig {
-    LaunchConfig::new(opts.grid, opts.block, params)
-}
-
 /// `gpu-fpx detect <file>`: run the detector and print the report.
 pub fn detect(path: &str, opts: &RunOpts, w: &mut dyn Write) -> Result<(), CliError> {
-    let kernel = load_kernel(path)?;
-    let prof = prof_from(opts);
-    let driver = prof.span(ProfPhase::Driver);
-    let mut tool = Detector::new(detector_config(opts));
-    tool.set_prof(prof.clone());
-    let mut nv = Nvbit::new(Gpu::new(opts.arch), tool);
-    nv.gpu.threads = opts.resolved_threads();
-    nv.set_obs(obs_from(opts));
-    nv.set_prof(prof.clone());
-    let params = {
-        let _sp = prof.span(ProfPhase::Prepare);
-        stage_params(
-            &mut nv.gpu,
-            &opts.params,
-            opts.seed.unwrap_or(DEFAULT_STAGE_SEED),
-        )?
-    };
-    let cfg = launch_cfg(opts, params);
-    for _ in 0..opts.launches {
-        nv.launch(&kernel, &cfg)?;
-    }
-    nv.terminate();
-    write_metrics(opts, nv.tool.snapshot_into(nv.obs()).as_ref(), w)?;
-    let _sp = prof.span(ProfPhase::Analysis);
-    let report = nv.tool.report();
-    for m in &report.messages {
-        writeln!(w, "{m}")?;
-    }
-    let row = report.counts.row();
-    writeln!(
-        w,
-        "\nexceptions (distinct sites): FP64 NAN {} INF {} SUB {} DIV0 {} | FP32 NAN {} INF {} SUB {} DIV0 {}",
-        row[0], row[1], row[2], row[3], row[4], row[5], row[6], row[7]
-    )?;
-    let h = report.counts.row16();
-    if h.iter().any(|v| *v > 0) {
-        writeln!(
-            w,
-            "FP16 (extension): NAN {} INF {} SUB {} DIV0 {}",
-            h[0], h[1], h[2], h[3]
-        )?;
-    }
-    drop(_sp);
-    drop(driver);
-    write_profile(opts, &prof, w)?;
-    Ok(())
+    kernel_file(path, ToolKind::Detector, opts, w)
 }
 
 /// `gpu-fpx analyze <file>`: analyzer listing plus flow-chain summaries.
 pub fn analyze(path: &str, opts: &RunOpts, w: &mut dyn Write) -> Result<(), CliError> {
-    let kernel = load_kernel(path)?;
-    let prof = prof_from(opts);
-    let driver = prof.span(ProfPhase::Driver);
-    let mut tool = Analyzer::new(AnalyzerConfig::default());
-    tool.set_prof(prof.clone());
-    let mut nv = Nvbit::new(Gpu::new(opts.arch), tool);
-    nv.gpu.threads = opts.resolved_threads();
-    nv.set_obs(obs_from(opts));
-    nv.set_prof(prof.clone());
-    let params = {
-        let _sp = prof.span(ProfPhase::Prepare);
-        stage_params(
-            &mut nv.gpu,
-            &opts.params,
-            opts.seed.unwrap_or(DEFAULT_STAGE_SEED),
-        )?
-    };
-    let cfg = launch_cfg(opts, params);
-    for _ in 0..opts.launches {
-        nv.launch(&kernel, &cfg)?;
-    }
-    nv.terminate();
-    write_metrics(opts, nv.obs().registry().map(|r| r.snapshot()).as_ref(), w)?;
-    let _sp = prof.span(ProfPhase::Analysis);
-    let report = nv.tool.report();
-    write!(w, "{}", report.listing())?;
-    let chains = flow_chains(report);
-    if !chains.is_empty() {
-        writeln!(w, "\nexception-flow chains:")?;
-        for c in &chains {
-            writeln!(w, "  - {}", c.summary())?;
-        }
-    }
-    if let Some(path) = &opts.chains_dot {
-        fpx_obs::artifact::write_atomic(path, chains_dot(&chains))?;
-        writeln!(w, "flow-chain DOT -> {path}")?;
-    }
-    let counts = report.state_counts();
-    writeln!(w, "\nflow states: {counts:?}")?;
-    drop(_sp);
-    drop(driver);
-    write_profile(opts, &prof, w)?;
-    Ok(())
+    kernel_file(path, ToolKind::Analyzer, opts, w)
 }
 
 /// `gpu-fpx shadow <file>`: precision sanitizing — shadow-value
@@ -235,100 +151,146 @@ pub fn analyze(path: &str, opts: &RunOpts, w: &mut dyn Write) -> Result<(), CliE
 /// export, so a precision-loss site gets the same birth→propagate→kill
 /// treatment as a NaN.
 pub fn shadow(path: &str, opts: &RunOpts, w: &mut dyn Write) -> Result<(), CliError> {
-    let kernel = load_kernel(path)?;
-    let prof = prof_from(opts);
-    let driver = prof.span(ProfPhase::Driver);
-    let mut tool = Shadow::new(opts.shadow_config());
-    tool.set_prof(prof.clone());
-    let mut nv = Nvbit::new(Gpu::new(opts.arch), tool);
-    nv.gpu.threads = opts.resolved_threads();
-    nv.set_obs(obs_from(opts));
-    nv.set_prof(prof.clone());
-    let params = {
-        let _sp = prof.span(ProfPhase::Prepare);
-        stage_params(
-            &mut nv.gpu,
-            &opts.params,
-            opts.seed.unwrap_or(DEFAULT_STAGE_SEED),
-        )?
-    };
-    let cfg = launch_cfg(opts, params);
-    for _ in 0..opts.launches {
-        nv.launch(&kernel, &cfg)?;
-    }
-    nv.terminate();
-    nv.tool.snapshot_into(nv.obs());
-    write_metrics(opts, nv.obs().registry().map(|r| r.snapshot()).as_ref(), w)?;
-    let _sp = prof.span(ProfPhase::Analysis);
-    let report = nv.tool.report();
-    for m in report.listing() {
-        writeln!(w, "{m}")?;
-    }
-    let flow = report.to_flow_report();
-    let chains = flow_chains(&flow);
-    if !chains.is_empty() {
-        writeln!(w, "\nprecision-loss chains:")?;
-        for c in &chains {
-            writeln!(w, "  - {}", c.summary())?;
-        }
-    }
-    if let Some(path) = &opts.chains_dot {
-        fpx_obs::artifact::write_atomic(path, chains_dot(&chains))?;
-        writeln!(w, "flow-chain DOT -> {path}")?;
-    }
-    writeln!(
-        w,
-        "\nshadow ({}, budget {} ulps): {} findings / {} comparisons {:?}",
-        nv.tool.config().mode.label(),
-        nv.tool.config().ulp_budget,
-        report.findings.len(),
-        report.comparisons,
-        report.kind_counts(),
-    )?;
-    drop(_sp);
-    drop(driver);
-    write_profile(opts, &prof, w)?;
-    Ok(())
+    kernel_file(path, ToolKind::Shadow, opts, w)
 }
 
 /// `gpu-fpx binfpe <file>`: the baseline, for comparison.
 pub fn binfpe(path: &str, opts: &RunOpts, w: &mut dyn Write) -> Result<(), CliError> {
+    kernel_file(path, ToolKind::BinFpe, opts, w)
+}
+
+/// The kernel-file driver behind `detect`, `analyze`, `shadow` and
+/// `binfpe`: run the kernel under `kind` and print the tool's report.
+fn kernel_file(
+    path: &str,
+    kind: ToolKind,
+    opts: &RunOpts,
+    w: &mut dyn Write,
+) -> Result<(), CliError> {
     let kernel = load_kernel(path)?;
+    let obs = obs_from(opts);
     let prof = prof_from(opts);
     let driver = prof.span(ProfPhase::Driver);
-    let mut tool = BinFpe::new();
+    let registry = || obs.registry().map(|r| r.snapshot());
+    let k = &kernel;
+    match opts.runner_tool(kind) {
+        Tool::Detector(dc) => {
+            let nv = launch_file(Detector::new(dc), k, opts, &obs, &prof)?;
+            write_metrics(opts, nv.tool.snapshot_into(&obs).as_ref(), w)?;
+            let _sp = prof.span(ProfPhase::Analysis);
+            let report = nv.tool.report();
+            for m in &report.messages {
+                writeln!(w, "{m}")?;
+            }
+            let row = report.counts.row();
+            writeln!(
+                w,
+                "\nexceptions (distinct sites): FP64 NAN {} INF {} SUB {} DIV0 {} | FP32 NAN {} INF {} SUB {} DIV0 {}",
+                row[0], row[1], row[2], row[3], row[4], row[5], row[6], row[7]
+            )?;
+            let h = report.counts.row16();
+            if h.iter().any(|v| *v > 0) {
+                writeln!(
+                    w,
+                    "FP16 (extension): NAN {} INF {} SUB {} DIV0 {}",
+                    h[0], h[1], h[2], h[3]
+                )?;
+            }
+        }
+        Tool::Analyzer(ac) => {
+            let nv = launch_file(Analyzer::new(ac), k, opts, &obs, &prof)?;
+            write_metrics(opts, registry().as_ref(), w)?;
+            let _sp = prof.span(ProfPhase::Analysis);
+            let report = nv.tool.report();
+            write!(w, "{}", report.listing())?;
+            write_chains(opts, Some("exception-flow chains"), &flow_chains(report), w)?;
+            writeln!(w, "\nflow states: {:?}", report.state_counts())?;
+        }
+        Tool::BinFpe => {
+            let nv = launch_file(BinFpe::new(), k, opts, &obs, &prof)?;
+            write_metrics(opts, registry().as_ref(), w)?;
+            let _sp = prof.span(ProfPhase::Analysis);
+            for m in &nv.tool.report().messages {
+                writeln!(w, "{m}")?;
+            }
+            writeln!(
+                w,
+                "\nBinFPE: {} values checked on the host, {} distinct sites",
+                nv.tool.values_checked,
+                nv.tool.report().counts.total()
+            )?;
+        }
+        Tool::Shadow(sc) => {
+            let nv = launch_file(Shadow::new(sc), k, opts, &obs, &prof)?;
+            nv.tool.snapshot_into(&obs);
+            write_metrics(opts, registry().as_ref(), w)?;
+            let _sp = prof.span(ProfPhase::Analysis);
+            let report = nv.tool.report();
+            for m in report.listing() {
+                writeln!(w, "{m}")?;
+            }
+            let chains = flow_chains(&report.to_flow_report());
+            write_chains(opts, Some("precision-loss chains"), &chains, w)?;
+            writeln!(
+                w,
+                "\nshadow ({}, budget {} ulps): {} findings / {} comparisons {:?}",
+                sc.mode.label(),
+                sc.ulp_budget,
+                report.findings.len(),
+                report.comparisons,
+                report.kind_counts(),
+            )?;
+        }
+    }
+    drop(driver);
+    write_profile(opts, &prof, w)
+}
+
+/// Load `tool` into a fresh context, stage the `--param`s, and launch
+/// `kernel` `--launches` times.
+fn launch_file<T: NvbitTool>(
+    mut tool: T,
+    kernel: &Arc<KernelCode>,
+    opts: &RunOpts,
+    obs: &Obs,
+    prof: &Prof,
+) -> Result<Nvbit<T>, CliError> {
     tool.set_prof(prof.clone());
     let mut nv = Nvbit::new(Gpu::new(opts.arch), tool);
     nv.gpu.threads = opts.resolved_threads();
-    nv.set_obs(obs_from(opts));
+    nv.set_obs(obs.clone());
     nv.set_prof(prof.clone());
     let params = {
         let _sp = prof.span(ProfPhase::Prepare);
-        stage_params(
-            &mut nv.gpu,
-            &opts.params,
-            opts.seed.unwrap_or(DEFAULT_STAGE_SEED),
-        )?
+        let seed = opts.seed.unwrap_or(DEFAULT_STAGE_SEED);
+        stage_params(&mut nv.gpu, &opts.params, seed)?
     };
-    let cfg = launch_cfg(opts, params);
+    let cfg = LaunchConfig::new(opts.grid, opts.block, params);
     for _ in 0..opts.launches {
-        nv.launch(&kernel, &cfg)?;
+        nv.launch(kernel, &cfg)?;
     }
     nv.terminate();
-    write_metrics(opts, nv.obs().registry().map(|r| r.snapshot()).as_ref(), w)?;
-    let _sp = prof.span(ProfPhase::Analysis);
-    for m in &nv.tool.report().messages {
-        writeln!(w, "{m}")?;
+    Ok(nv)
+}
+
+/// Print the chain summaries under `title`, if one is given, then write
+/// the chains as Graphviz DOT to the `--chains-dot` path, if any.
+fn write_chains(
+    opts: &RunOpts,
+    title: Option<&str>,
+    chains: &[FlowChain],
+    w: &mut dyn Write,
+) -> Result<(), CliError> {
+    if let Some(title) = title.filter(|_| !chains.is_empty()) {
+        writeln!(w, "\n{title}:")?;
+        for c in chains {
+            writeln!(w, "  - {}", c.summary())?;
+        }
     }
-    writeln!(
-        w,
-        "\nBinFPE: {} values checked on the host, {} distinct sites",
-        nv.tool.values_checked,
-        nv.tool.report().counts.total()
-    )?;
-    drop(_sp);
-    drop(driver);
-    write_profile(opts, &prof, w)?;
+    if let Some(path) = &opts.chains_dot {
+        fpx_obs::artifact::write_atomic(path, chains_dot(chains))?;
+        writeln!(w, "flow-chain DOT -> {path}")?;
+    }
     Ok(())
 }
 
@@ -383,45 +345,14 @@ pub fn suite_list(w: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The serve-side job description for a `suite run`-shaped invocation:
-/// the spec half of the shared renderer's input (execution details —
-/// threads, obs, prof — travel in the `RunnerConfig` instead).
-fn serve_spec(name: &str, opts: &RunOpts) -> fpx_serve::JobSpec {
-    fpx_serve::JobSpec {
-        program: name.to_string(),
-        tool: match opts.tool {
-            ToolKind::Detector => fpx_serve::JobTool::Detector,
-            ToolKind::Analyzer => fpx_serve::JobTool::Analyzer,
-            ToolKind::BinFpe => fpx_serve::JobTool::BinFpe,
-            ToolKind::Shadow => fpx_serve::JobTool::Shadow,
-        },
-        arch: opts.arch,
-        fast_math: opts.fast_math,
-        freq_redn_factor: opts.freq_redn_factor,
-        use_gt: opts.use_gt,
-        device_checking: opts.device_checking,
-        json: opts.json,
-        chains_dot: opts.chains_dot.is_some(),
-        shadow_mode: opts.shadow_mode,
-        shadow_ulp_budget: opts.ulp_budget,
-        shadow_cancel_threshold: opts.cancel_threshold,
-    }
-}
-
 /// `gpu-fpx suite run <name>`. Runs through the same
 /// [`fpx_serve::job::run_rendered`] path the serve worker pool uses, so
 /// one-shot and served output cannot drift.
 pub fn suite_run(name: &str, opts: &RunOpts, w: &mut dyn Write) -> Result<(), CliError> {
     let prof = prof_from(opts);
     let driver = prof.span(ProfPhase::Driver);
-    let rc = RunnerConfig {
-        threads: opts.resolved_threads(),
-        obs: obs_from(opts),
-        prof: prof.clone(),
-        ..RunnerConfig::default()
-    };
-    let r =
-        fpx_serve::job::run_rendered(&serve_spec(name, opts), &rc).map_err(|e| e.to_string())?;
+    let rc = runner_config(opts, obs_from(opts), prof.clone());
+    let r = fpx_serve::job::run_rendered(&opts.job_spec(name), &rc).map_err(|e| e.to_string())?;
     write_metrics(opts, r.result.metrics.as_ref(), w)?;
     w.write_all(split_chains_dot(opts, &r.text)?.as_bytes())?;
     drop(driver);
@@ -444,20 +375,6 @@ fn split_chains_dot(opts: &RunOpts, text: &str) -> Result<String, CliError> {
     Ok(rest)
 }
 
-/// Prepare a suite program's launch list for recording or replay-binding.
-fn suite_launches(
-    program: &fpx_suite::Program,
-    copts: &CompileOpts,
-    gpu: &mut Gpu,
-) -> Vec<(Arc<KernelCode>, fpx_sim::gpu::LaunchConfig)> {
-    program
-        .prepare(copts, &mut gpu.mem)
-        .launches
-        .into_iter()
-        .map(|l| (l.kernel, l.cfg))
-        .collect()
-}
-
 /// `gpu-fpx trace record <name>`: simulate once, write the trace file.
 pub fn trace_record(name: &str, opts: &RunOpts, w: &mut dyn Write) -> Result<(), CliError> {
     let program = fpx_suite::find(name).ok_or_else(|| format!("unknown program {name:?}"))?;
@@ -467,7 +384,12 @@ pub fn trace_record(name: &str, opts: &RunOpts, w: &mut dyn Write) -> Result<(),
         ..CompileOpts::default()
     };
     let trace = fpx_trace::record(&program.name, opts.arch, opts.fast_math, |gpu| {
-        suite_launches(&program, &copts, gpu)
+        program
+            .prepare(&copts, &mut gpu.mem)
+            .launches
+            .into_iter()
+            .map(|l| (l.kernel, l.cfg))
+            .collect()
     })
     .map_err(|e| format!("{name}: {e:?}"))?;
     let bytes = trace.to_bytes();
@@ -483,117 +405,53 @@ pub fn trace_record(name: &str, opts: &RunOpts, w: &mut dyn Write) -> Result<(),
     Ok(())
 }
 
-/// Load a trace file and rebind it to freshly-prepared suite kernels;
-/// also returns the file's length in bytes.
-fn load_replayer(file: &str) -> Result<(fpx_trace::TraceReplayer, u64), CliError> {
-    let bytes = std::fs::read(file).map_err(|e| format!("{file}: {e}"))?;
-    let trace = fpx_trace::Trace::from_bytes(&bytes).map_err(|e| format!("{file}: {e}"))?;
-    let program = fpx_suite::find(&trace.program)
-        .ok_or_else(|| format!("trace references unknown program {:?}", trace.program))?;
-    let copts = CompileOpts {
-        fast_math: trace.fast_math,
-        arch: trace.arch,
-        ..CompileOpts::default()
-    };
-    let mut gpu = Gpu::new(trace.arch);
-    let kernels: Vec<Arc<KernelCode>> = suite_launches(&program, &copts, &mut gpu)
-        .into_iter()
-        .map(|(k, _)| k)
-        .collect();
-    let rep = fpx_trace::TraceReplayer::new(trace, &kernels).map_err(|e| format!("{file}: {e}"))?;
-    Ok((rep, bytes.len() as u64))
-}
-
 /// `gpu-fpx trace replay <file>`: drive a tool from the recording,
 /// without re-simulating, and print its report plus replay metrics.
 pub fn trace_replay(file: &str, opts: &RunOpts, w: &mut dyn Write) -> Result<(), CliError> {
-    let (rep, bytes) = load_replayer(file)?;
-    let base: u64 = rep.trace().launches.iter().map(|l| l.plain_cycles).sum();
+    let (rep, base, bytes) = fpx_coach::bind_trace(file)?;
     let wd = runner::hang_budget(base, RunnerConfig::default().hang_slowdown_limit);
     let mut m = fpx_trace::Metrics::for_trace(rep.trace());
     m.bytes = bytes;
     let obs = obs_from(opts);
     let prof = prof_from(opts);
     let driver = prof.span(ProfPhase::Driver);
+    let registry = || obs.registry().map(|r| r.snapshot());
 
     let started = std::time::Instant::now();
-    let (cycles, hung) = match opts.tool {
-        ToolKind::Detector => {
-            let out = rep.replay_profiled(
-                Detector::new(detector_config(opts)),
-                Some(wd),
-                obs.clone(),
-                prof.clone(),
-            );
-            let _sp = prof.span(ProfPhase::Analysis);
-            write_metrics(opts, out.tool.snapshot_into(&obs).as_ref(), w)?;
-            let report = out.tool.report();
-            // Replay records the same report-derived telemetry as a live
-            // run, so count-valued series match record-vs-replay.
-            gpu_fpx::observe_detector(&obs, report);
-            for msg in &report.messages {
-                writeln!(w, "{msg}")?;
-            }
-            writeln!(w, "row: {:?}", report.counts.row())?;
-            if let Some((h, miss)) = out.tool.gt_stats() {
+    // Replay records the same report-derived telemetry as a live run, so
+    // count-valued series match record-vs-replay.
+    let (cycles, hung, pushes) = match opts.runner_tool(opts.tool) {
+        Tool::Detector(dc) => replay_report(&rep, wd, &obs, &prof, Detector::new(dc), |d| {
+            write_metrics(opts, d.snapshot_into(&obs).as_ref(), w)?;
+            write_sites(&obs, d.report(), w)?;
+            if let Some((h, miss)) = d.gt_stats() {
                 m.gt_hits = Some(h);
                 m.gt_misses = Some(miss);
             }
-            m.channel_pushes = Some(out.channel_pushes);
-            (out.cycles, out.hung)
-        }
-        ToolKind::Analyzer => {
-            let out = rep.replay_profiled(
-                Analyzer::new(AnalyzerConfig::default()),
-                Some(wd),
-                obs.clone(),
-                prof.clone(),
-            );
-            let _sp = prof.span(ProfPhase::Analysis);
-            write_metrics(opts, obs.registry().map(|r| r.snapshot()).as_ref(), w)?;
-            let report = out.tool.report();
+            Ok(())
+        })?,
+        Tool::Analyzer(ac) => replay_report(&rep, wd, &obs, &prof, Analyzer::new(ac), |a| {
+            write_metrics(opts, registry().as_ref(), w)?;
+            let report = a.report();
             gpu_fpx::observe_analyzer(&obs, report);
             write!(w, "{}", report.listing())?;
-            if let Some(path) = &opts.chains_dot {
-                fpx_obs::artifact::write_atomic(path, chains_dot(&flow_chains(report)))?;
-                writeln!(w, "flow-chain DOT -> {path}")?;
-            }
+            write_chains(opts, None, &flow_chains(report), w)?;
             writeln!(w, "flow states: {:?}", report.state_counts())?;
-            m.channel_pushes = Some(out.channel_pushes);
-            (out.cycles, out.hung)
-        }
-        ToolKind::BinFpe => {
-            let out = rep.replay_profiled(BinFpe::new(), Some(wd), obs.clone(), prof.clone());
-            let _sp = prof.span(ProfPhase::Analysis);
-            write_metrics(opts, obs.registry().map(|r| r.snapshot()).as_ref(), w)?;
-            gpu_fpx::observe_detector(&obs, out.tool.report());
-            for msg in &out.tool.report().messages {
-                writeln!(w, "{msg}")?;
-            }
-            writeln!(w, "row: {:?}", out.tool.report().counts.row())?;
-            m.channel_pushes = Some(out.channel_pushes);
-            (out.cycles, out.hung)
-        }
-        ToolKind::Shadow => {
-            let out = rep.replay_profiled(
-                Shadow::new(opts.shadow_config()),
-                Some(wd),
-                obs.clone(),
-                prof.clone(),
-            );
-            let _sp = prof.span(ProfPhase::Analysis);
-            out.tool.snapshot_into(&obs);
-            write_metrics(opts, obs.registry().map(|r| r.snapshot()).as_ref(), w)?;
-            let report = out.tool.report();
+            Ok(())
+        })?,
+        Tool::BinFpe => replay_report(&rep, wd, &obs, &prof, BinFpe::new(), |b| {
+            write_metrics(opts, registry().as_ref(), w)?;
+            write_sites(&obs, b.report(), w)
+        })?,
+        Tool::Shadow(sc) => replay_report(&rep, wd, &obs, &prof, Shadow::new(sc), |s| {
+            s.snapshot_into(&obs);
+            write_metrics(opts, registry().as_ref(), w)?;
+            let report = s.report();
             fpx_shadow::observe_shadow(&obs, report);
             for msg in report.listing() {
                 writeln!(w, "{msg}")?;
             }
-            if let Some(path) = &opts.chains_dot {
-                let chains = flow_chains(&report.to_flow_report());
-                fpx_obs::artifact::write_atomic(path, chains_dot(&chains))?;
-                writeln!(w, "flow-chain DOT -> {path}")?;
-            }
+            write_chains(opts, None, &flow_chains(&report.to_flow_report()), w)?;
             writeln!(
                 w,
                 "shadow: {} findings / {} comparisons {:?}",
@@ -601,11 +459,11 @@ pub fn trace_replay(file: &str, opts: &RunOpts, w: &mut dyn Write) -> Result<(),
                 report.comparisons,
                 report.kind_counts(),
             )?;
-            m.channel_pushes = Some(out.channel_pushes);
-            (out.cycles, out.hung)
-        }
+            Ok(())
+        })?,
     };
     let secs = started.elapsed().as_secs_f64();
+    m.channel_pushes = Some(pushes);
     m.replay_cycles = Some(cycles);
     if secs > 0.0 {
         m.replay_events_per_sec = Some(m.events as f64 / secs);
@@ -622,25 +480,41 @@ pub fn trace_replay(file: &str, opts: &RunOpts, w: &mut dyn Write) -> Result<(),
     Ok(())
 }
 
+/// Replay `rep` under `tool` to the budget `wd`, then `print` the tool's
+/// report inside the analysis span; returns the replayed cycles, the hang
+/// verdict and the channel pushes.
+fn replay_report<T: NvbitTool>(
+    rep: &fpx_trace::TraceReplayer,
+    wd: u64,
+    obs: &Obs,
+    prof: &Prof,
+    tool: T,
+    print: impl FnOnce(&T) -> Result<(), CliError>,
+) -> Result<(u64, bool, u64), CliError> {
+    let out = rep.replay_profiled(tool, Some(wd), obs.clone(), prof.clone());
+    let _sp = prof.span(ProfPhase::Analysis);
+    print(&out.tool)?;
+    Ok((out.cycles, out.hung, out.channel_pushes))
+}
+
+/// The detector-style report lines `trace replay` prints (detector and
+/// BinFPE), after folding the report into the telemetry layer.
+fn write_sites(obs: &Obs, report: &DetectorReport, w: &mut dyn Write) -> Result<(), CliError> {
+    gpu_fpx::observe_detector(obs, report);
+    for msg in &report.messages {
+        writeln!(w, "{msg}")?;
+    }
+    writeln!(w, "row: {:?}", report.counts.row())?;
+    Ok(())
+}
+
 /// `gpu-fpx metrics <name>`: run one suite program with the metrics
 /// registry enabled and print the human summary table; `--metrics PATH`
 /// additionally writes the machine-readable JSON snapshot.
 pub fn metrics(name: &str, opts: &RunOpts, w: &mut dyn Write) -> Result<(), CliError> {
     let program = fpx_suite::find(name).ok_or_else(|| format!("unknown program {name:?}"))?;
-    let mut rc = RunnerConfig {
-        arch: opts.arch,
-        threads: opts.resolved_threads(),
-        obs: Obs::with_sms(opts.sms),
-        ..RunnerConfig::default()
-    };
-    rc.opts.arch = opts.arch;
-    rc.opts.fast_math = opts.fast_math;
-    let tool = match opts.tool {
-        ToolKind::Detector => Tool::Detector(detector_config(opts)),
-        ToolKind::Analyzer => Tool::Analyzer(AnalyzerConfig::default()),
-        ToolKind::BinFpe => Tool::BinFpe,
-        ToolKind::Shadow => Tool::Shadow(opts.shadow_config()),
-    };
+    let rc = runner_config(opts, Obs::with_sms(opts.sms), Prof::disabled());
+    let tool = opts.runner_tool(opts.tool);
     let (base, r) = runner::try_run(&program, &rc, &tool).map_err(|e| e.message(name))?;
     let snap = r
         .metrics
@@ -714,7 +588,7 @@ fn inject_config(opts: &RunOpts, programs_arg: String) -> fpx_inject::CampaignCo
         threads: opts.resolved_threads(),
         max_faults: opts.max_faults,
         backends: if opts.backends.is_empty() {
-            fpx_inject::Backend::ALL.to_vec()
+            fpx_inject::DEFAULT_BACKENDS.to_vec()
         } else {
             opts.backends.clone()
         },
@@ -869,19 +743,11 @@ pub fn inject_report(file: &str, _opts: &RunOpts, w: &mut dyn Write) -> Result<(
 /// per tool, split into per-phase contributions in baseline-cycle units.
 pub fn prof_report(name: &str, opts: &RunOpts, w: &mut dyn Write) -> Result<(), CliError> {
     let program = fpx_suite::find(name).ok_or_else(|| format!("unknown program {name:?}"))?;
-    let runner_config = |prof: Prof| {
-        let mut rc = RunnerConfig {
-            arch: opts.arch,
-            threads: opts.resolved_threads(),
-            prof,
-            ..RunnerConfig::default()
-        };
-        rc.opts.arch = opts.arch;
-        rc.opts.fast_math = opts.fast_math;
-        rc
-    };
-    let base = runner::try_run_baseline(&program, &runner_config(Prof::disabled()))
-        .map_err(|e| format!("{name} baseline: {e}"))?;
+    let base = runner::try_run_baseline(
+        &program,
+        &runner_config(opts, Obs::disabled(), Prof::disabled()),
+    )
+    .map_err(|e| format!("{name} baseline: {e}"))?;
     writeln!(w, "{name}: baseline {base} cycles (uninstrumented)")?;
     writeln!(w)?;
     writeln!(
@@ -889,85 +755,70 @@ pub fn prof_report(name: &str, opts: &RunOpts, w: &mut dyn Write) -> Result<(), 
         "{:<9} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
         "tool", "slowdown", "jit", "exec", "hook", "push", "drain", "shadow", "coach", "other"
     )?;
-    let mut coverage: Vec<(&str, f64)> = Vec::new();
-    for (label, tool) in [
-        ("detector", Tool::Detector(detector_config(opts))),
-        ("analyzer", Tool::Analyzer(AnalyzerConfig::default())),
-        ("binfpe", Tool::BinFpe),
-        ("shadow", Tool::Shadow(opts.shadow_config())),
-    ] {
+    let mut coverage = Vec::new();
+    for kind in ToolKind::ALL {
+        let label = kind.label();
         let prof = Prof::enabled();
-        let rc = runner_config(prof.clone());
+        let rc = runner_config(opts, Obs::disabled(), prof.clone());
         let driver = prof.span(ProfPhase::Driver);
-        let r = runner::try_run_with_tool(&program, &rc, &tool, base)
+        let r = runner::try_run_with_tool(&program, &rc, &opts.runner_tool(kind), base)
             .map_err(|e| format!("{name} {label}: {e}"))?;
         drop(driver);
-        let snap = prof.snapshot().expect("profiling enabled");
-        let b = base.max(1) as f64;
-        let per = |p: ProfPhase| snap.get(p).cycles as f64 / b;
-        // Phase contributions are exclusive, so launch-path columns sum
-        // to the instrumented run's cycle total; "other" is whatever the
-        // tool spent outside the launch path (GT allocation, report
-        // assembly) plus any rounding remainder.
-        let other = r.cycles.saturating_sub(snap.launch_cycles()) as f64 / b;
-        writeln!(
-            w,
-            "{label:<9} {:>8.2}x {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}{}",
-            r.cycles as f64 / b,
-            per(ProfPhase::Jit),
-            per(ProfPhase::Exec),
-            per(ProfPhase::Hook),
-            per(ProfPhase::ChannelPush),
-            per(ProfPhase::Drain),
-            per(ProfPhase::Shadow),
-            per(ProfPhase::Coach),
-            other,
-            if r.hung { " [HUNG]" } else { "" }
-        )?;
-        coverage.push((label, snap.wall_coverage()));
+        coverage.push(prof_row(w, label, base, r.cycles, r.hung, &prof)?);
     }
     // The coach rides the same launch path but isn't a runner::Tool —
     // drive it through its own session for the last row.
-    {
-        let prof = Prof::enabled();
-        let driver = prof.span(ProfPhase::Driver);
-        let sess =
-            fpx_coach::CoachSession::open(name, coach_options(opts, Obs::disabled(), prof.clone()))
-                .map_err(|e| format!("{name} coach: {e}"))?;
-        let run = sess.run().map_err(|e| format!("{name} coach: {e}"))?;
-        drop(driver);
-        let snap = prof.snapshot().expect("profiling enabled");
-        let b = base.max(1) as f64;
-        let per = |p: ProfPhase| snap.get(p).cycles as f64 / b;
-        let other = run.cycles.saturating_sub(snap.launch_cycles()) as f64 / b;
-        writeln!(
-            w,
-            "{:<9} {:>8.2}x {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}{}",
-            "coach",
-            run.cycles as f64 / b,
-            per(ProfPhase::Jit),
-            per(ProfPhase::Exec),
-            per(ProfPhase::Hook),
-            per(ProfPhase::ChannelPush),
-            per(ProfPhase::Drain),
-            per(ProfPhase::Shadow),
-            per(ProfPhase::Coach),
-            other,
-            if run.hung { " [HUNG]" } else { "" }
-        )?;
-        coverage.push(("coach", snap.wall_coverage()));
-    }
+    let prof = Prof::enabled();
+    let driver = prof.span(ProfPhase::Driver);
+    let sess =
+        fpx_coach::CoachSession::open(name, coach_options(opts, Obs::disabled(), prof.clone()))
+            .map_err(|e| format!("{name} coach: {e}"))?;
+    let run = sess.run().map_err(|e| format!("{name} coach: {e}"))?;
+    drop(driver);
+    coverage.push(prof_row(w, "coach", base, run.cycles, run.hung, &prof)?);
     writeln!(w)?;
     writeln!(
         w,
         "(columns: per-phase modeled cycles / baseline cycles; rows sum to the slowdown)"
     )?;
-    let cov: Vec<String> = coverage
-        .iter()
-        .map(|(l, c)| format!("{l} {:.1}%", c * 100.0))
-        .collect();
-    writeln!(w, "wall-time coverage of spans: {}", cov.join(" · "))?;
+    writeln!(w, "wall-time coverage of spans: {}", coverage.join(" · "))?;
     Ok(())
+}
+
+/// One `prof report` row: a run's slowdown over `base`, split into
+/// per-phase contributions in baseline-cycle units. Returns the row's
+/// entry in the wall-time coverage line.
+fn prof_row(
+    w: &mut dyn Write,
+    label: &str,
+    base: u64,
+    cycles: u64,
+    hung: bool,
+    prof: &Prof,
+) -> Result<String, CliError> {
+    let snap = prof.snapshot().expect("profiling enabled");
+    let b = base.max(1) as f64;
+    let per = |p: ProfPhase| snap.get(p).cycles as f64 / b;
+    // Phase contributions are exclusive, so launch-path columns sum to the
+    // instrumented run's cycle total; "other" is whatever the tool spent
+    // outside the launch path (GT allocation, report assembly) plus any
+    // rounding remainder.
+    let other = cycles.saturating_sub(snap.launch_cycles()) as f64 / b;
+    writeln!(
+        w,
+        "{label:<9} {:>8.2}x {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}{}",
+        cycles as f64 / b,
+        per(ProfPhase::Jit),
+        per(ProfPhase::Exec),
+        per(ProfPhase::Hook),
+        per(ProfPhase::ChannelPush),
+        per(ProfPhase::Drain),
+        per(ProfPhase::Shadow),
+        per(ProfPhase::Coach),
+        other,
+        if hung { " [HUNG]" } else { "" }
+    )?;
+    Ok(format!("{label} {:.1}%", snap.wall_coverage() * 100.0))
 }
 
 fn coach_options(opts: &RunOpts, obs: Obs, prof: Prof) -> fpx_coach::CoachOptions {
@@ -1136,7 +987,7 @@ pub fn serve_submit(addr: &str, opts: &RunOpts, w: &mut dyn Write) -> Result<(),
     let mut specs = Vec::new();
     for _ in 0..opts.repeat {
         for p in &opts.programs {
-            specs.push(serve_spec(p, opts));
+            specs.push(opts.job_spec(p));
         }
     }
     if opts.ndjson {
@@ -1419,6 +1270,46 @@ mod tests {
         let s = String::from_utf8(out).unwrap();
         assert!(s.contains("Division by 0"), "{s}");
         assert!(s.contains("FP32 NAN 0 INF 1 SUB 0 DIV0 1"), "{s}");
+    }
+
+    #[test]
+    fn shadow_prints_findings() {
+        let path = tmp_kernel("shadow", DIV0);
+        let mut out = Vec::new();
+        shadow(&path, &RunOpts::default(), &mut out).unwrap();
+        let s = String::from_utf8(out).unwrap();
+        assert!(
+            s.ends_with("\nshadow (full, budget 16 ulps): 0 findings / 64 comparisons {}\n"),
+            "{s}"
+        );
+
+        // 1 + 2^-30 rounds to 1.0 in FP32 but not in the FP64 shadow, so
+        // subtracting 1.0 cancels to 0 against a shadow of 2^-30.
+        let src = r#"
+.kernel cli_cancel
+    MOV32I R0, 0x3f800000 ;
+    MOV32I R1, 0x30800000 ;
+    FADD R2, R0, R1 ;
+    FADD R3, R2, -1.0 ;
+    EXIT ;
+"#;
+        let path = tmp_kernel("shadow_cancel", src);
+        let mut out = Vec::new();
+        shadow(&path, &RunOpts::default(), &mut out).unwrap();
+        let s = String::from_utf8(out).unwrap();
+        assert!(
+            s.contains(
+                "APPEARANCE (cancellation): precision divergence @ /unknown_path in [cli_cancel]:0"
+            ),
+            "{s}"
+        );
+        assert!(s.contains("\nprecision-loss chains:\n"), "{s}");
+        assert!(
+            s.ends_with(
+                "\nshadow (full, budget 16 ulps): 1 findings / 64 comparisons {\"cancellation\": 1}\n"
+            ),
+            "{s}"
+        );
     }
 
     #[test]
@@ -1791,7 +1682,7 @@ mod tests {
 
         let live_dot = dir.join("chains-live.dot");
         let opts = RunOpts {
-            tool: crate::args::ToolKind::Analyzer,
+            tool: ToolKind::Analyzer,
             chains_dot: Some(live_dot.to_string_lossy().into_owned()),
             ..RunOpts::default()
         };
@@ -1802,7 +1693,7 @@ mod tests {
 
         let replay_dot = dir.join("chains-replay.dot");
         let opts = RunOpts {
-            tool: crate::args::ToolKind::Analyzer,
+            tool: ToolKind::Analyzer,
             chains_dot: Some(replay_dot.to_string_lossy().into_owned()),
             ..RunOpts::default()
         };

@@ -14,17 +14,13 @@ use crate::rewind::{CaptureTarget, StateDump};
 use crate::timeline::CoachReport;
 use crate::tool::{Coach, CoachConfig};
 use fpx_compiler::CompileOpts;
-use fpx_nvbit::tool::NvbitTool;
-use fpx_nvbit::Nvbit;
 use fpx_obs::{Counter, Obs};
 use fpx_prof::Prof;
 use fpx_shadow::{Shadow, ShadowConfig, ShadowReport};
-use fpx_sim::exec::SimError;
 use fpx_sim::gpu::{Arch, Gpu};
 use fpx_suite::runner::RunnerConfig;
 use fpx_suite::Program;
 use fpx_trace::TraceReplayer;
-use std::sync::Arc;
 
 /// Coach driver options.
 #[derive(Clone)]
@@ -90,29 +86,10 @@ impl CoachSession {
     /// trace, anything else is a suite program name.
     pub fn open(target: &str, opts: CoachOptions) -> Result<CoachSession, String> {
         if target.ends_with(".fpxtrace") {
-            let bytes = std::fs::read(target).map_err(|e| format!("{target}: {e}"))?;
-            let trace =
-                fpx_trace::Trace::from_bytes(&bytes).map_err(|e| format!("{target}: {e}"))?;
-            let program = fpx_suite::find(&trace.program)
-                .ok_or_else(|| format!("trace references unknown program {:?}", trace.program))?;
-            let copts = CompileOpts {
-                fast_math: trace.fast_math,
-                arch: trace.arch,
-                ..CompileOpts::default()
-            };
-            let mut gpu = Gpu::new(trace.arch);
-            let kernels: Vec<_> = program
-                .prepare(&copts, &mut gpu.mem)
-                .launches
-                .into_iter()
-                .map(|l| Arc::clone(&l.kernel))
-                .collect();
-            let base: u64 = trace.launches.iter().map(|l| l.plain_cycles).sum();
-            let name = trace.program.clone();
-            let rep = TraceReplayer::new(trace, &kernels).map_err(|e| format!("{target}: {e}"))?;
+            let (rep, base, _) = bind_trace(target)?;
             Ok(CoachSession {
+                name: rep.trace().program.clone(),
                 target: Target::Trace(Box::new(rep)),
-                name,
                 opts,
                 base_cycles: base,
             })
@@ -161,34 +138,16 @@ impl CoachSession {
                 Ok((out.tool, out.cycles, out.hung))
             }
             Target::Program(program) => {
-                let rcfg = runner_config(&self.opts);
-                let mut gpu = Gpu::new(rcfg.arch);
-                gpu.watchdog_cycles = wd;
-                gpu.threads = rcfg.threads.max(1);
-                let mut tool = Coach::new(cfg);
-                tool.set_prof(rcfg.prof.clone());
-                let mut nv = Nvbit::new(gpu, tool);
-                nv.set_obs(rcfg.obs.clone());
-                nv.set_prof(rcfg.prof.clone());
-                let plan = program.prepare(&rcfg.opts, &mut nv.gpu.mem);
-                let mut hung = false;
-                for l in &plan.launches {
-                    match nv.launch(&l.kernel, &l.cfg) {
-                        Ok(_) => {}
-                        Err(SimError::Watchdog { .. }) => {
-                            hung = true;
-                            break;
-                        }
-                        Err(e) => return Err(format!("{}: {e}", self.name)),
-                    }
-                    if nv.gpu.clock.cycles() > wd {
-                        hung = true;
-                        break;
-                    }
-                }
-                nv.terminate();
-                let cycles = nv.gpu.clock.cycles();
-                Ok((nv.tool, cycles, hung))
+                let pass = fpx_suite::runner::run_plan_with_tool(
+                    program,
+                    &runner_config(&self.opts),
+                    Coach::new(cfg),
+                    Some(wd),
+                )
+                .map_err(|e| format!("{}: {e}", self.name))?
+                .expect("a run with a fixed budget is never abandoned");
+                let cycles = pass.nv.gpu.clock.cycles();
+                Ok((pass.nv.tool, cycles, pass.hung))
             }
         }
     }
@@ -251,6 +210,32 @@ impl CoachSession {
             }
         }
     }
+}
+
+/// Load a `.fpxtrace` file and bind it to its program's freshly prepared
+/// kernels; also returns the recorded uninstrumented cycles and the
+/// file's length in bytes. Coach trace targets and `gpu-fpx trace
+/// replay` open traces here.
+pub fn bind_trace(path: &str) -> Result<(TraceReplayer, u64, u64), String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    let trace = fpx_trace::Trace::from_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
+    let program = fpx_suite::find(&trace.program)
+        .ok_or_else(|| format!("trace references unknown program {:?}", trace.program))?;
+    let copts = CompileOpts {
+        fast_math: trace.fast_math,
+        arch: trace.arch,
+        ..CompileOpts::default()
+    };
+    let mut gpu = Gpu::new(trace.arch);
+    let kernels: Vec<_> = program
+        .prepare(&copts, &mut gpu.mem)
+        .launches
+        .into_iter()
+        .map(|l| l.kernel)
+        .collect();
+    let base = trace.launches.iter().map(|l| l.plain_cycles).sum();
+    let rep = TraceReplayer::new(trace, &kernels).map_err(|e| format!("{path}: {e}"))?;
+    Ok((rep, base, bytes.len() as u64))
 }
 
 fn runner_config(opts: &CoachOptions) -> RunnerConfig {

@@ -34,7 +34,7 @@ pub mod rewind;
 pub mod timeline;
 pub mod tool;
 
-pub use drive::{CoachOptions, CoachRun, CoachSession};
+pub use drive::{bind_trace, CoachOptions, CoachRun, CoachSession};
 pub use heur::{coach_suggestions, Suggestion};
 pub use rewind::{CaptureTarget, Rewinder, StateDump, REPL_HELP};
 pub use timeline::{CoachReport, EventKind, Timeline, TimelineEvent, TimelineOutcome};

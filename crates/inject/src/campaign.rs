@@ -15,15 +15,15 @@ use crate::tool::InjectTool;
 use fpx_binfpe::BinFpe;
 use fpx_compiler::CompileOpts;
 use fpx_nvbit::tool::NvbitTool;
-use fpx_nvbit::Nvbit;
 use fpx_obs::{Counter, Obs};
-use fpx_prof::{Phase as ProfPhase, Prof};
+use fpx_prof::Prof;
 use fpx_sass::types::FpFormat;
 use fpx_shadow::{Shadow, ShadowConfig, ShadowMode, ShadowReport};
 use fpx_sim::exec::SimError;
 use fpx_sim::gpu::{Arch, Gpu};
-use fpx_sim::hooks::{DeviceFn, InstrumentedCode, When};
+use fpx_sim::hooks::{DeviceFn, When};
 use fpx_sim::mem::DeviceMemory;
+use fpx_suite::runner::{self, RunnerConfig, ToolKind};
 use fpx_suite::Program;
 use fpx_trace::{RecordError, Trace, TraceRecorder};
 use gpu_fpx::analyzer::{Analyzer, AnalyzerConfig, AnalyzerReport, FlowState};
@@ -32,43 +32,12 @@ use gpu_fpx::oracle;
 use gpu_fpx::report::DetectorReport;
 use std::sync::Arc;
 
-/// The detection backends a campaign can score.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    Detector,
-    Analyzer,
-    BinFpe,
-    /// The shadow-value precision sanitizer. Not in [`Backend::ALL`]
-    /// (the default column set): it is opt-in via `--backends`, because
-    /// its quarry — silent precision faults — only exists when
-    /// [`CampaignConfig::precision_faults`] is armed too.
-    Shadow,
-}
-
-impl Backend {
-    /// The default report columns. `Shadow` is deliberately excluded —
-    /// see its variant docs.
-    pub const ALL: [Backend; 3] = [Backend::Detector, Backend::Analyzer, Backend::BinFpe];
-
-    pub fn label(self) -> &'static str {
-        match self {
-            Backend::Detector => "detector",
-            Backend::Analyzer => "analyzer",
-            Backend::BinFpe => "binfpe",
-            Backend::Shadow => "shadow",
-        }
-    }
-
-    pub fn from_label(s: &str) -> Option<Backend> {
-        match s {
-            "detector" => Some(Backend::Detector),
-            "analyzer" => Some(Backend::Analyzer),
-            "binfpe" => Some(Backend::BinFpe),
-            "shadow" => Some(Backend::Shadow),
-            _ => None,
-        }
-    }
-}
+/// The default report columns: GPU-FPX's detector and analyzer and the
+/// BinFPE baseline. Shadow is opt-in via `--backends`, because its quarry
+/// — silent precision faults — only exists when
+/// [`CampaignConfig::precision_faults`] is armed too.
+pub const DEFAULT_BACKENDS: [ToolKind; 3] =
+    [ToolKind::Detector, ToolKind::Analyzer, ToolKind::BinFpe];
 
 /// Campaign configuration. The seed is the only randomness source; no
 /// field defaults to wall-clock anything.
@@ -82,14 +51,14 @@ pub struct CampaignConfig {
     /// any value (see module docs).
     pub threads: usize,
     /// Backends to run and score, in report-column order.
-    pub backends: Vec<Backend>,
+    pub backends: Vec<ToolKind>,
     /// Maximum faults per trial (≥ 1). When > 1, a quarter of trials
     /// inject several faults, which is what exercises the shrinking pass.
     pub max_faults: u32,
     /// Arm [`FaultKind::PrecisionFlip`] in the trial planner. Off by
     /// default so pre-existing seeded campaigns stay byte-identical; the
     /// silent faults it adds are `Benign` to every exception backend by
-    /// construction, so it is only interesting with [`Backend::Shadow`]
+    /// construction, so it is only interesting with [`ToolKind::Shadow`]
     /// in the column set.
     pub precision_faults: bool,
     /// Slowdown over the plain baseline beyond which an injected run is
@@ -113,7 +82,7 @@ impl Default for CampaignConfig {
             arch: Arch::Ampere,
             opts: CompileOpts::default(),
             threads: 1,
-            backends: Backend::ALL.to_vec(),
+            backends: DEFAULT_BACKENDS.to_vec(),
             max_faults: 3,
             precision_faults: false,
             hang_slowdown_limit: 200.0,
@@ -130,23 +99,26 @@ struct ProgCtx {
     watchdog: u64,
 }
 
-fn prog_ctx(program: &Program, cfg: &CampaignConfig) -> Result<ProgCtx, SimError> {
-    // Site enumeration and the plain baseline are campaign preparation;
-    // the baseline's simulated cycles are charged to the span.
-    let mut sp = cfg.prof.span(ProfPhase::Prepare);
-    let mut mem = DeviceMemory::default();
-    let plan = program.prepare(&cfg.opts, &mut mem);
-    let sites = enumerate_sites(&plan);
-    // Plain baseline anchors the hang budget, like the suite runner.
-    let mut gpu = Gpu::new(cfg.arch);
-    gpu.threads = cfg.threads.max(1);
-    let plan = program.prepare(&cfg.opts, &mut gpu.mem);
-    for l in &plan.launches {
-        gpu.launch(&InstrumentedCode::plain(Arc::clone(&l.kernel)), &l.cfg)?;
+/// The runner configuration of every run a campaign makes. Its metrics
+/// handle stays disabled: a campaign's registry holds only the
+/// `inject.*` counters, which [`run_campaign`] adds itself.
+fn runner_config(cfg: &CampaignConfig) -> RunnerConfig {
+    RunnerConfig {
+        arch: cfg.arch,
+        opts: cfg.opts,
+        hang_slowdown_limit: cfg.hang_slowdown_limit,
+        threads: cfg.threads,
+        prof: cfg.prof.clone(),
+        ..RunnerConfig::default()
     }
-    let base = gpu.clock.cycles();
-    sp.add_cycles(base);
-    let watchdog = fpx_suite::runner::hang_budget(base, cfg.hang_slowdown_limit);
+}
+
+fn prog_ctx(program: &Program, cfg: &CampaignConfig) -> Result<ProgCtx, SimError> {
+    let mut mem = DeviceMemory::default();
+    let sites = enumerate_sites(&program.prepare(&cfg.opts, &mut mem));
+    // The plain baseline anchors the hang budget, like the suite runner.
+    let base = runner::try_run_baseline(program, &runner_config(cfg))?;
+    let watchdog = runner::hang_budget(base, cfg.hang_slowdown_limit);
     Ok(ProgCtx { sites, watchdog })
 }
 
@@ -212,56 +184,17 @@ pub fn plan_faults(
         .collect()
 }
 
-/// Run one program with `faults` armed under `tool`. Returns the context
-/// (for tool reports and fault states) and whether the run hung.
-fn run_injected<T: NvbitTool>(
-    program: &Program,
-    pctx: &ProgCtx,
-    cfg: &CampaignConfig,
-    faults: &[(FaultSpec, Site)],
-    tool: T,
-) -> Result<(Nvbit<InjectTool<T>>, bool), SimError> {
-    let mut gpu = Gpu::new(cfg.arch);
-    gpu.watchdog_cycles = pctx.watchdog;
-    gpu.threads = cfg.threads.max(1);
-    let mut tool = InjectTool::new(tool, faults.to_vec());
-    // Before Nvbit::new: on_init runs there and may hand the handle on
-    // (the detector installs it on its global table).
-    tool.set_prof(cfg.prof.clone());
-    let mut nv = Nvbit::new(gpu, tool);
-    nv.set_prof(cfg.prof.clone());
-    let plan = program.prepare(&cfg.opts, &mut nv.gpu.mem);
-    let mut hung = false;
-    for l in &plan.launches {
-        match nv.launch(&l.kernel, &l.cfg) {
-            Ok(_) => {}
-            Err(SimError::Watchdog { .. }) => {
-                hung = true;
-                break;
-            }
-            Err(e) => return Err(e),
-        }
-        if nv.gpu.clock.cycles() > pctx.watchdog {
-            hung = true;
-            break;
-        }
-    }
-    nv.terminate();
-    Ok((nv, hung))
-}
-
 /// Per-fault dynamic facts from one injected run:
 /// ⟨fired, oracle mask, saw-exceptional-source⟩.
 type FaultMeta = (u64, u32, bool);
 
-fn collect_meta(states: &[Arc<FaultState>]) -> Vec<FaultMeta> {
-    states
-        .iter()
-        .map(|s| (s.fired(), s.oracle_mask(), s.saw_exceptional_src()))
-        .collect()
-}
-
+/// Judge a fired fault against a detector-style report: `Benign` when the
+/// oracle saw no exception, else whether the report flagged the site with
+/// one of the oracle's kinds.
 fn outcome_sites(rep: &DetectorReport, site: &Site, mask: u32) -> Outcome {
+    if mask == 0 {
+        return Outcome::Benign;
+    }
     let kinds = kinds_from_mask(mask);
     let hit = rep
         .sites
@@ -276,14 +209,28 @@ fn outcome_sites(rep: &DetectorReport, site: &Site, mask: u32) -> Outcome {
 
 /// Whether the shadow sanitizer reported a divergence at the fault's
 /// static site (any flow state: the mutated writeback is `Appearance`
-/// when the sources were still clean, `Propagation` downstream).
-fn shadow_hit(rep: &ShadowReport, site: &Site) -> bool {
-    rep.findings
+/// when the sources were still clean, `Propagation` downstream). A
+/// silent fault has an empty oracle mask — the whole point of this
+/// backend is that it can still catch one, so the Detected check comes
+/// before the Benign one.
+fn outcome_shadow(rep: &ShadowReport, site: &Site, mask: u32) -> Outcome {
+    if rep
+        .findings
         .iter()
         .any(|f| f.kernel == site.kernel && f.sass == site.sass)
+    {
+        Outcome::Detected
+    } else if mask == 0 {
+        Outcome::Benign
+    } else {
+        Outcome::Missed
+    }
 }
 
-fn outcome_analyzer(rep: &AnalyzerReport, site: &Site) -> Outcome {
+fn outcome_analyzer(rep: &AnalyzerReport, site: &Site, mask: u32) -> Outcome {
+    if mask == 0 {
+        return Outcome::Benign;
+    }
     let mut seen = false;
     for e in &rep.events {
         if e.kernel == site.kernel && e.sass == site.sass {
@@ -306,123 +253,78 @@ fn outcome_analyzer(rep: &AnalyzerReport, site: &Site) -> Outcome {
     }
 }
 
-/// Run `faults` under one backend and score every fault.
+/// Run `faults` armed under `tool` to the program's fixed budget and
+/// score every fault: `NotFired` unless it fired, else `judge` of the
+/// tool's `report`, the fault's site and its oracle mask.
+fn score<T: NvbitTool, R>(
+    program: &Program,
+    pctx: &ProgCtx,
+    cfg: &CampaignConfig,
+    faults: &[(FaultSpec, Site)],
+    tool: T,
+    report: fn(&T) -> &R,
+    judge: fn(&R, &Site, u32) -> Outcome,
+) -> Result<(Vec<Outcome>, Vec<FaultMeta>, bool), SimError> {
+    let pass = runner::run_plan_with_tool(
+        program,
+        &runner_config(cfg),
+        InjectTool::new(tool, faults.to_vec()),
+        Some(pctx.watchdog),
+    )?
+    .expect("a run with a fixed budget is never abandoned");
+    let rep = report(&pass.nv.tool.inner);
+    let meta = pass.nv.tool.fault_meta();
+    let outcomes = faults
+        .iter()
+        .zip(&meta)
+        .map(|((_, site), &(fired, mask, _))| {
+            if fired == 0 {
+                Outcome::NotFired
+            } else {
+                judge(rep, site, mask)
+            }
+        })
+        .collect();
+    Ok((outcomes, meta, pass.hung))
+}
+
+/// Run `faults` under one backend and score every fault. The detector
+/// and BinFPE both report exception sites, so one judge scores both.
 fn run_backend(
     program: &Program,
     pctx: &ProgCtx,
     cfg: &CampaignConfig,
     faults: &[(FaultSpec, Site)],
-    backend: Backend,
+    backend: ToolKind,
 ) -> Result<(Vec<Outcome>, Vec<FaultMeta>, bool), SimError> {
-    let score = |meta: &[FaultMeta], judge: &dyn Fn(&Site, u32) -> Outcome| {
-        faults
-            .iter()
-            .zip(meta)
-            .map(|((_, site), &(fired, mask, _))| {
-                if fired == 0 {
-                    Outcome::NotFired
-                } else if mask == 0 {
-                    Outcome::Benign
-                } else {
-                    judge(site, mask)
-                }
-            })
-            .collect::<Vec<_>>()
-    };
+    let (p, f) = (program, faults);
     match backend {
-        Backend::Detector => {
-            let (nv, hung) = run_injected(
-                program,
-                pctx,
-                cfg,
-                faults,
-                Detector::new(DetectorConfig::default()),
-            )?;
-            let meta = collect_meta(
-                &nv.tool
-                    .faults()
-                    .iter()
-                    .map(|f| Arc::clone(&f.state))
-                    .collect::<Vec<_>>(),
-            );
-            let rep = nv.tool.inner.report();
-            let outcomes = score(&meta, &|site, mask| outcome_sites(rep, site, mask));
-            Ok((outcomes, meta, hung))
+        ToolKind::Detector => {
+            let tool = Detector::new(DetectorConfig::default());
+            score(p, pctx, cfg, f, tool, Detector::report, outcome_sites)
         }
-        Backend::Analyzer => {
-            let (nv, hung) = run_injected(
-                program,
-                pctx,
-                cfg,
-                faults,
-                Analyzer::new(AnalyzerConfig::default()),
-            )?;
-            let meta = collect_meta(
-                &nv.tool
-                    .faults()
-                    .iter()
-                    .map(|f| Arc::clone(&f.state))
-                    .collect::<Vec<_>>(),
-            );
-            let rep = nv.tool.inner.report();
-            let outcomes = score(&meta, &|site, _| outcome_analyzer(rep, site));
-            Ok((outcomes, meta, hung))
+        ToolKind::BinFpe => {
+            let tool = BinFpe::new();
+            score(p, pctx, cfg, f, tool, BinFpe::report, outcome_sites)
         }
-        Backend::BinFpe => {
-            let (nv, hung) = run_injected(program, pctx, cfg, faults, BinFpe::new())?;
-            let meta = collect_meta(
-                &nv.tool
-                    .faults()
-                    .iter()
-                    .map(|f| Arc::clone(&f.state))
-                    .collect::<Vec<_>>(),
-            );
-            let rep = nv.tool.inner.report();
-            let outcomes = score(&meta, &|site, mask| outcome_sites(rep, site, mask));
-            Ok((outcomes, meta, hung))
+        ToolKind::Analyzer => {
+            let tool = Analyzer::new(AnalyzerConfig::default());
+            score(p, pctx, cfg, f, tool, Analyzer::report, outcome_analyzer)
         }
-        Backend::Shadow => {
+        ToolKind::Shadow => {
             // Pick the mode that can see this trial's sites: RPC when the
             // faults all land on FP64 instructions (Full mode only shadows
             // FP32 ops), Full otherwise.
-            let mode = if !faults.is_empty() && faults.iter().all(|(_, s)| s.fmt == FpFormat::Fp64)
-            {
+            let mode = if !f.is_empty() && f.iter().all(|(_, s)| s.fmt == FpFormat::Fp64) {
                 ShadowMode::Rpc
             } else {
                 ShadowMode::Full
             };
-            let sc = ShadowConfig {
+            let tool = Shadow::new(ShadowConfig {
                 mode,
                 ..ShadowConfig::default()
-            };
-            let (nv, hung) = run_injected(program, pctx, cfg, faults, Shadow::new(sc))?;
-            let meta = collect_meta(
-                &nv.tool
-                    .faults()
-                    .iter()
-                    .map(|f| Arc::clone(&f.state))
-                    .collect::<Vec<_>>(),
-            );
-            let rep = nv.tool.inner.report();
-            // A silent fault has an empty oracle mask — the whole point of
-            // this backend is that it can still catch one, so the Detected
-            // check comes before the Benign short-circuit (unlike `score`).
-            let outcomes = faults
-                .iter()
-                .zip(&meta)
-                .map(|((_, site), &(fired, mask, _))| {
-                    if fired == 0 {
-                        Outcome::NotFired
-                    } else if shadow_hit(rep, site) {
-                        Outcome::Detected
-                    } else if mask == 0 {
-                        Outcome::Benign
-                    } else {
-                        Outcome::Missed
-                    }
-                })
-                .collect();
-            Ok((outcomes, meta, hung))
+            });
+            score(p, pctx, cfg, f, tool, Shadow::report, outcome_shadow)
         }
     }
 }
@@ -511,7 +413,7 @@ fn shrink(
     cfg: &CampaignConfig,
     trial: u32,
     faults: &[(FaultSpec, Site)],
-    backend: Backend,
+    backend: ToolKind,
 ) -> Result<ShrinkResult, SimError> {
     let mut current = faults.to_vec();
     let mut steps = 0u32;

@@ -34,8 +34,8 @@ pub mod site;
 pub mod tool;
 
 pub use campaign::{
-    plan_faults, record_trial_trace, replay_plan, replay_trial, run_campaign, Backend,
-    CampaignConfig,
+    plan_faults, record_trial_trace, replay_plan, replay_trial, run_campaign, CampaignConfig,
+    DEFAULT_BACKENDS,
 };
 pub use fault::{FaultKind, FaultSpec, FaultState};
 pub use report::{CampaignReport, Outcome};

@@ -52,9 +52,16 @@ impl<T> InjectTool<T> {
         }
     }
 
-    /// The armed faults with their shared outcome states.
-    pub fn faults(&self) -> &[ArmedFault] {
-        &self.faults
+    /// Each armed fault's dynamic facts from the run, in plan order:
+    /// ⟨times fired, oracle mask, saw an exceptional source⟩.
+    pub fn fault_meta(&self) -> Vec<(u64, u32, bool)> {
+        self.faults
+            .iter()
+            .map(|f| {
+                let s = &f.state;
+                (s.fired(), s.oracle_mask(), s.saw_exceptional_src())
+            })
+            .collect()
     }
 }
 

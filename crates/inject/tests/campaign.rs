@@ -3,9 +3,10 @@
 //! capture of injected executions.
 
 use fpx_inject::{
-    enumerate_sites, record_trial_trace, replay_plan, replay_trial, run_campaign, Backend,
-    CampaignConfig, FaultKind, FaultSpec, Outcome,
+    enumerate_sites, record_trial_trace, replay_plan, replay_trial, run_campaign, CampaignConfig,
+    FaultKind, FaultSpec, Outcome,
 };
+use fpx_suite::runner::ToolKind;
 use fpx_trace::Trace;
 
 fn smoke_programs() -> Vec<fpx_suite::Program> {
@@ -118,7 +119,7 @@ fn shadow_backend_detects_silent_precision_faults() {
     // shadow and must flag the divergence at the fault's own site.
     let p = fpx_suite::find("GRAMSCHM").unwrap();
     let cfg = CampaignConfig {
-        backends: vec![Backend::Detector, Backend::Shadow],
+        backends: vec![ToolKind::Detector, ToolKind::Shadow],
         precision_faults: true,
         ..CampaignConfig::default()
     };

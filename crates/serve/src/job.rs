@@ -13,7 +13,7 @@ use fpx_compiler::CompileOpts;
 use fpx_prof::Phase as ProfPhase;
 use fpx_shadow::{ShadowConfig, ShadowMode};
 use fpx_sim::gpu::{Arch, Gpu};
-use fpx_suite::runner::{self, RunError, RunResult, RunnerConfig, Tool};
+use fpx_suite::runner::{self, RunError, RunResult, RunnerConfig, Tool, ToolKind};
 use fpx_trace::format::KernelMeta;
 use fpx_trace::{CacheError, CacheKey};
 use gpu_fpx::analyzer::AnalyzerConfig;
@@ -21,39 +21,8 @@ use gpu_fpx::chains::flow_chains;
 use gpu_fpx::detector::DetectorConfig;
 use std::fmt::Write as _;
 
-/// Which tool a job loads into the NVBit context.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JobTool {
-    #[default]
-    Detector,
-    Analyzer,
-    BinFpe,
-    Shadow,
-}
-
-impl JobTool {
-    /// Stable lowercase label, used in fingerprints, JSON output, and the
-    /// wire protocol.
-    pub fn label(&self) -> &'static str {
-        match self {
-            JobTool::Detector => "detector",
-            JobTool::Analyzer => "analyzer",
-            JobTool::BinFpe => "binfpe",
-            JobTool::Shadow => "shadow",
-        }
-    }
-
-    /// Inverse of [`JobTool::label`].
-    pub fn parse(s: &str) -> Option<JobTool> {
-        match s {
-            "detector" => Some(JobTool::Detector),
-            "analyzer" => Some(JobTool::Analyzer),
-            "binfpe" => Some(JobTool::BinFpe),
-            "shadow" => Some(JobTool::Shadow),
-            _ => None,
-        }
-    }
-}
+/// Which tool a job loads. The `perfbench` benchmark names it `JobTool`.
+pub use fpx_suite::runner::ToolKind as JobTool;
 
 /// Everything that identifies one unit of servable work. Two jobs with
 /// equal specs (and equal program kernel tables) produce byte-identical
@@ -63,7 +32,7 @@ impl JobTool {
 pub struct JobSpec {
     /// Suite program name (see `gpu-fpx suite list`).
     pub program: String,
-    pub tool: JobTool,
+    pub tool: ToolKind,
     pub arch: Arch,
     pub fast_math: bool,
     /// Detector sampling: instrument every 2^k-th dynamic visit.
@@ -90,7 +59,7 @@ impl Default for JobSpec {
         let sc = ShadowConfig::default();
         JobSpec {
             program: String::new(),
-            tool: JobTool::Detector,
+            tool: ToolKind::Detector,
             arch: Arch::Ampere,
             fast_math: false,
             freq_redn_factor: 0,
@@ -120,15 +89,15 @@ impl JobSpec {
     /// The runner tool configuration this spec describes.
     pub fn runner_tool(&self) -> Tool {
         match self.tool {
-            JobTool::Detector => Tool::Detector(DetectorConfig {
+            ToolKind::Detector => Tool::Detector(DetectorConfig {
                 use_gt: self.use_gt,
                 freq_redn_factor: self.freq_redn_factor,
                 whitelist: None,
                 device_checking: self.device_checking,
             }),
-            JobTool::Analyzer => Tool::Analyzer(AnalyzerConfig::default()),
-            JobTool::BinFpe => Tool::BinFpe,
-            JobTool::Shadow => Tool::Shadow(self.shadow_config()),
+            ToolKind::Analyzer => Tool::Analyzer(AnalyzerConfig::default()),
+            ToolKind::BinFpe => Tool::BinFpe,
+            ToolKind::Shadow => Tool::Shadow(self.shadow_config()),
         }
     }
 

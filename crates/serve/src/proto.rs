@@ -7,10 +7,11 @@
 //! encodes to the same line.
 
 use crate::engine::{JobResult, Outcome};
-use crate::job::{JobSpec, JobTool};
+use crate::job::JobSpec;
 use fpx_inject::json::{self, Value};
 use fpx_shadow::ShadowMode;
 use fpx_sim::gpu::Arch;
+use fpx_suite::runner::ToolKind;
 use fpx_trace::export::json_escape;
 
 /// A malformed job line.
@@ -52,7 +53,7 @@ pub fn parse_job(line: &str) -> Result<JobSpec, ProtoError> {
             .as_str()
             .ok_or_else(|| ProtoError("\"tool\" must be a string".into()))?;
         spec.tool =
-            JobTool::parse(label).ok_or_else(|| ProtoError(format!("unknown tool {label:?}")))?;
+            ToolKind::parse(label).ok_or_else(|| ProtoError(format!("unknown tool {label:?}")))?;
     }
     if let Some(a) = v.get("arch") {
         spec.arch = match a.as_str() {
@@ -203,7 +204,7 @@ mod tests {
     fn job_line_round_trips_and_defaults_apply() {
         let spec = JobSpec {
             program: "LU".into(),
-            tool: JobTool::Analyzer,
+            tool: ToolKind::Analyzer,
             arch: Arch::Turing,
             fast_math: true,
             freq_redn_factor: 16,

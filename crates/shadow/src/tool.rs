@@ -531,10 +531,6 @@ impl Shadow {
         }
     }
 
-    pub fn config(&self) -> &ShadowConfig {
-        &self.shared.cfg
-    }
-
     pub fn report(&self) -> &ShadowReport {
         &self.report
     }

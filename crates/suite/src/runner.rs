@@ -43,11 +43,47 @@ use std::sync::Arc;
 
 pub use fpx_sim::timing::hang_budget;
 
-/// Which tool to load into the NVBit context.
+/// The tools a run can load: GPU-FPX's detector and analyzer, the BinFPE
+/// baseline the paper compares them against, and the `fpx-shadow`
+/// precision sanitizer. [`Tool`] is one of them with its configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ToolKind {
+    #[default]
+    Detector,
+    Analyzer,
+    BinFpe,
+    Shadow,
+}
+
+impl ToolKind {
+    /// Every tool, in the order reports list them.
+    pub const ALL: [ToolKind; 4] = [
+        ToolKind::Detector,
+        ToolKind::Analyzer,
+        ToolKind::BinFpe,
+        ToolKind::Shadow,
+    ];
+
+    /// Stable lowercase label, used in flags, fingerprints, JSON output,
+    /// and the wire protocol.
+    pub fn label(&self) -> &'static str {
+        match self {
+            ToolKind::Detector => "detector",
+            ToolKind::Analyzer => "analyzer",
+            ToolKind::BinFpe => "binfpe",
+            ToolKind::Shadow => "shadow",
+        }
+    }
+
+    /// Inverse of [`ToolKind::label`].
+    pub fn parse(s: &str) -> Option<ToolKind> {
+        ToolKind::ALL.into_iter().find(|k| k.label() == s)
+    }
+}
+
+/// Which tool to load into the NVBit context, configured.
 #[derive(Debug, Clone)]
 pub enum Tool {
-    /// No interception: the original program.
-    None,
     /// GPU-FPX detector with the given configuration.
     Detector(DetectorConfig),
     /// GPU-FPX analyzer.
@@ -195,20 +231,27 @@ pub fn run_baseline(program: &Program, cfg: &RunnerConfig) -> u64 {
 }
 
 /// One completed pass of a program's launch plan under a tool.
-struct Pass<T: NvbitTool> {
-    nv: Nvbit<T>,
-    records: u64,
-    instrumented: u64,
-    hung: bool,
+pub struct Pass<T: NvbitTool> {
+    /// The context after `terminate`: the tool holds its report.
+    pub nv: Nvbit<T>,
+    /// Channel records produced.
+    pub records: u64,
+    /// Launches that ran instrumented.
+    pub instrumented: u64,
+    /// The pass was cut off at its fixed budget.
+    pub hung: bool,
     /// Summed issue cycles: the uninstrumented run's cycles.
-    plain: u64,
+    pub plain: u64,
 }
 
-/// Run the plan under `tool`. With `Some(watchdog)` the run is cut off
-/// (and reported hung) past that total budget. With `None` the budget is
-/// the running `hang_budget` of the plain cycles so far, and a pass over
-/// it — or over the simulator's own watchdog — is abandoned: `Ok(None)`.
-fn run_plan_with_tool<T: NvbitTool>(
+/// Prepare `program`'s plan, load `tool` into a fresh NVBit context, and
+/// launch the plan — the one plan driver behind the suite runner, fault
+/// injection and the coach. With `Some(watchdog)` the run is cut off (and
+/// reported hung) past that total budget, and the result is always
+/// `Some`. With `None` the budget is the running `hang_budget` of the
+/// plain cycles so far, and a pass over it — or over the simulator's own
+/// watchdog — is abandoned: `Ok(None)`.
+pub fn run_plan_with_tool<T: NvbitTool>(
     program: &Program,
     cfg: &RunnerConfig,
     tool: T,
@@ -306,23 +349,6 @@ fn run_tool(
     watchdog: Option<u64>,
 ) -> Result<Option<(u64, RunResult)>, SimError> {
     Ok(match tool {
-        Tool::None => {
-            let cycles = try_run_baseline(program, cfg)?;
-            Some((
-                cycles,
-                RunResult {
-                    program: program.name.clone(),
-                    cycles,
-                    records: 0,
-                    instrumented_launches: 0,
-                    detector_report: None,
-                    analyzer_report: None,
-                    shadow_report: None,
-                    hung: false,
-                    metrics: None,
-                },
-            ))
-        }
         Tool::Detector(dc) => {
             run_plan_with_tool(program, cfg, Detector::new(dc.clone()), watchdog)?.map(|p| {
                 p.finish(program, |r, d| {

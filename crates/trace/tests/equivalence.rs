@@ -5,11 +5,14 @@
 //! extend this over every exception-bearing suite program.)
 
 use fpx_binfpe::BinFpe;
+use fpx_shadow::{Shadow, ShadowConfig};
+use fpx_sim::gpu::LaunchConfig;
 use fpx_suite::runner::{self, hang_budget, RunnerConfig, Tool};
-use fpx_suite::Program;
+use fpx_suite::{Launch, Plan, Program, Suite};
 use fpx_trace::{record, Trace, TraceReplayer};
 use gpu_fpx::analyzer::{Analyzer, AnalyzerConfig};
 use gpu_fpx::detector::{Detector, DetectorConfig};
+use gpu_fpx::report::DetectorReport;
 use std::sync::Arc;
 
 fn record_and_bind(p: &Program, cfg: &RunnerConfig) -> TraceReplayer {
@@ -190,6 +193,91 @@ fn one_recording_replays_many_configs() {
     }
     // Sampling must actually change the replayed cost profile.
     assert!(rows[0] > rows[3], "k=64 should be cheaper than k=0");
+}
+
+/// Lanes 16..31 alone (`@P0` after `ISETP.GE … 16`) divide by zero, turn
+/// the INF into a NaN, and cancel `1 + 2^-30` against 1, so every FP
+/// visit carries a guarded mask that is not a low-lane prefix.
+const HIGH_LANES: &str = r#"
+.kernel high_lanes
+    S2R R0, SR_LANEID ;
+    ISETP.GE.AND P0, R0, 0x10 ;
+    MOV32I R1, 0x0 ;
+    MOV32I R4, 0x3f800000 ;
+    MOV32I R5, 0x30800000 ;
+    @P0 MUFU.RCP R2, R1 ;
+    @P0 FADD R3, R2, -R2 ;
+    @P0 FADD R6, R4, R5 ;
+    @P0 FADD R7, R6, -1.0 ;
+    EXIT ;
+"#;
+
+fn high_lanes_program() -> Program {
+    Program::new("high_lanes", Suite::CudaSamples, false, |_, _| {
+        let kernel = fpx_sass::assemble_kernel(HIGH_LANES).expect("assemble");
+        Plan {
+            launches: vec![Launch {
+                kernel: Arc::new(kernel),
+                cfg: LaunchConfig::new(1, 32, Vec::new()),
+            }],
+        }
+    })
+}
+
+fn assert_same_sites(live: &DetectorReport, replayed: &DetectorReport, tool: &str) {
+    assert_eq!(
+        live.sites.keys().collect::<Vec<_>>(),
+        replayed.sites.keys().collect::<Vec<_>>(),
+        "{tool}: deduplicated record sets"
+    );
+    assert_eq!(live.messages, replayed.messages, "{tool}: report lines");
+    assert_eq!(live.counts.row(), replayed.counts.row(), "{tool}: row");
+    assert_eq!(
+        live.occurrences, replayed.occurrences,
+        "{tool}: occurrences"
+    );
+}
+
+#[test]
+fn high_lane_guarded_visits_replay_bit_exact_under_every_tool() {
+    let cfg = RunnerConfig::default();
+    let p = high_lanes_program();
+    let base = runner::run_baseline(&p, &cfg);
+    let rep = record_and_bind(&p, &cfg);
+    let wd = Some(hang_budget(base, cfg.hang_slowdown_limit));
+
+    let dc = DetectorConfig::default();
+    let live = runner::run_with_tool(&p, &cfg, &Tool::Detector(dc.clone()), base);
+    let replayed = rep.replay(Detector::new(dc), wd);
+    let lrep = live.detector_report.expect("detector report");
+    // FP32 DIV0 at the reciprocal and NaN at INF - INF, one site each.
+    assert_eq!(lrep.counts.row(), [0, 0, 0, 0, 1, 0, 0, 1]);
+    assert_same_sites(&lrep, replayed.tool.report(), "detector");
+    assert_eq!(live.cycles, replayed.cycles, "detector cycles");
+
+    let ac = AnalyzerConfig::default();
+    let live = runner::run_with_tool(&p, &cfg, &Tool::Analyzer(ac.clone()), base);
+    let replayed = rep.replay(Analyzer::new(ac), wd);
+    let lrep = live.analyzer_report.expect("analyzer report");
+    assert!(!lrep.events.is_empty());
+    assert_eq!(lrep.events, replayed.tool.report().events, "flow events");
+    assert_eq!(live.cycles, replayed.cycles, "analyzer cycles");
+
+    let live = runner::run_with_tool(&p, &cfg, &Tool::BinFpe, base);
+    let replayed = rep.replay(BinFpe::new(), wd);
+    let lrep = live.detector_report.expect("BinFPE report");
+    assert_eq!(lrep.counts.row(), [0, 0, 0, 0, 1, 0, 0, 1]);
+    assert_same_sites(&lrep, replayed.tool.report(), "BinFPE");
+    assert_eq!(live.records, replayed.records, "BinFPE records");
+    assert_eq!(live.cycles, replayed.cycles, "BinFPE cycles");
+
+    let sc = ShadowConfig::default();
+    let live = runner::run_with_tool(&p, &cfg, &Tool::Shadow(sc), base);
+    let replayed = rep.replay(Shadow::new(sc), wd);
+    let lrep = live.shadow_report.expect("shadow report");
+    assert!(!lrep.findings.is_empty(), "the cancellation is found");
+    assert_eq!(&lrep, replayed.tool.report(), "shadow report");
+    assert_eq!(live.cycles, replayed.cycles, "shadow cycles");
 }
 
 #[test]
