@@ -81,3 +81,29 @@ fn success_paths_exit_zero_with_complete_stdout() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("row: [0, 0, 0, 0, 3, 0, 0, 1]"), "{stdout}");
 }
+
+#[test]
+fn only_the_suite_runner_warns_about_cut_off_runs() {
+    // A suite run over its hang budget is cut off with one warning.
+    let out = gpu_fpx(&["suite", "run", "S3D", "--tool", "binfpe"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        stderr.matches("cutting off").count(),
+        1,
+        "one cut-off warning: {stderr}"
+    );
+    assert!(
+        stderr.contains("S3D: run hung (exceeded 2293760000 cycle budget); cutting off"),
+        "{stderr}"
+    );
+
+    // Fault injection cuts hung trials off by design and scores them in
+    // its own output, so it prints no cut-off warnings.
+    let out = gpu_fpx(&[
+        "inject", "campaign", "--preset", "smoke", "--seed", "7", "--trials", "2",
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("cutting off"), "{stderr}");
+}

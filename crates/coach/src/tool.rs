@@ -7,8 +7,12 @@
 //! The device side keeps, per ⟨block, warp, register⟩, at most one *live
 //! slot*: the lane carrying the exceptional value, its class, and the raw
 //! bits it held when last seen (single-slot-per-register simplification —
-//! a register carries one tracked lineage at a time). Slots are created
-//! at births/propagations and destroyed by kills:
+//! a register carries one tracked lineage at a time). A block lists the
+//! warps carrying lineage, in warp order, and each warp keeps its slots
+//! in a [`RegMap`]: a register-mask bit test answers the usual "no
+//! lineage here" probe, nothing is hashed, and a warp leaves the list
+//! with its last slot, so memory follows the live slots. Slots are
+//! created at births/propagations and destroyed by kills:
 //!
 //! * **overwrite (lazy)**: slot validation happens at the *next* FP
 //!   instruction touching the register — an untracked producer (MOV,
@@ -42,6 +46,7 @@ use fpx_sass::types::{
     classify_f16, classify_f32, classify_f64, pair_to_f64_bits, row_exceptional_f16,
     row_exceptional_f32, row_exceptional_f64, FpClass, FpFormat,
 };
+use fpx_shadow::RegMap;
 use fpx_sim::hooks::{DeviceFn, InjectionCtx, Phase, When};
 use gpu_fpx::analyzer::{KillReason, RegClass};
 use gpu_fpx::record::LocationTable;
@@ -219,10 +224,45 @@ struct LiveSlot {
 /// Per-block coach state; each hook only touches its own block's entry.
 #[derive(Debug, Default)]
 struct BlockCoach {
-    /// ⟨warp, register⟩ → live lineage slot.
-    live: HashMap<(u32, u8), LiveSlot>,
+    /// The warps carrying live lineage, in warp order, each with its
+    /// live slots by register. A warp leaves the list when its last slot
+    /// dies, so memory follows the live slots.
+    live: Vec<(u32, RegMap<LiveSlot>)>,
     /// ⟨warp, site⟩ → events emitted so far (the rewind hit ordinal).
     hits: HashMap<(u32, u16), u32>,
+    /// The records of the current call, reused from call to call.
+    recs: Vec<[u8; REC_LEN]>,
+}
+
+impl BlockCoach {
+    fn warp(&self, warp: u32) -> Option<&RegMap<LiveSlot>> {
+        let i = self.live.binary_search_by_key(&warp, |(w, _)| *w).ok()?;
+        Some(&self.live[i].1)
+    }
+
+    fn slot(&self, warp: u32, reg: u8) -> Option<LiveSlot> {
+        self.warp(warp)?.get(reg).copied()
+    }
+
+    fn set_slot(&mut self, warp: u32, reg: u8, slot: LiveSlot) {
+        let i = match self.live.binary_search_by_key(&warp, |(w, _)| *w) {
+            Ok(i) => i,
+            Err(i) => {
+                self.live.insert(i, (warp, RegMap::default()));
+                i
+            }
+        };
+        *self.live[i].1.get_or_insert_with(reg, || slot) = slot;
+    }
+
+    fn kill_slot(&mut self, warp: u32, reg: u8) {
+        if let Ok(i) = self.live.binary_search_by_key(&warp, |(w, _)| *w) {
+            self.live[i].1.remove(reg);
+            if self.live[i].1.is_empty() {
+                self.live.remove(i);
+            }
+        }
+    }
 }
 
 struct CoachShared {
@@ -346,17 +386,16 @@ fn build_dump(
             regs.push(dump_slot(s, false));
         }
     }
-    let mut live: Vec<LiveLine> = bs
-        .live
-        .iter()
-        .filter(|((w, _), _)| *w == ctx.warp)
-        .map(|((_, r), sl)| LiveLine {
-            reg: *r,
+    let live: Vec<LiveLine> = bs
+        .warp(ctx.warp)
+        .into_iter()
+        .flat_map(|m| m.iter())
+        .map(|(reg, sl)| LiveLine {
+            reg,
             lane: sl.lane,
             class: sl.class,
         })
         .collect();
-    live.sort_by_key(|l| l.reg);
     StateDump {
         kernel: ctx.kernel_name.to_string(),
         pc: ctx.pc,
@@ -385,163 +424,127 @@ impl DeviceFn for CoachFn {
         let launch = ctx.launch_id as u16;
         let block = ctx.block as u16;
         let warp8 = ctx.warp as u8;
-        let mut recs: Vec<[u8; REC_LEN]> = Vec::new();
-        {
-            let mut st = self.shared.state.lock();
-            let bs = st.entry(ctx.block).or_default();
-            let off = ctx.exec_mask & !ctx.guarded_mask;
+        let rec = |kind, class, reason, lane, reg, src| {
+            encode_rec(
+                kind, class, reason, self.loc, block, warp8, lane, reg, src, launch,
+            )
+        };
+        let mut st = self.shared.state.lock();
+        let bs = st.entry(ctx.block).or_default();
+        let mut recs = std::mem::take(&mut bs.recs);
+        recs.clear();
+        let off = ctx.exec_mask & !ctx.guarded_mask;
 
-            // Step 1: source-side kills. A live slot whose bits no longer
-            // match was overwritten by an untracked producer (lazy
-            // detection — reported at this, the noticing, site). A live
-            // slot whose carrying lane the guard masked off was cut by
-            // predication. Shared destinations skip the bit check: the
-            // instruction itself just rewrote the register.
-            for s in &spec.srcs {
-                let is_dest = spec.dest.is_some_and(|d| d.reg == s.reg);
-                let Some(slot) = bs.live.get(&(ctx.warp, s.reg)).copied() else {
-                    continue;
+        // Step 1: source-side kills. A live slot whose bits no longer
+        // match was overwritten by an untracked producer (lazy
+        // detection — reported at this, the noticing, site). A live
+        // slot whose carrying lane the guard masked off was cut by
+        // predication. Shared destinations skip the bit check: the
+        // instruction itself just rewrote the register.
+        for s in &spec.srcs {
+            let is_dest = spec.dest.is_some_and(|d| d.reg == s.reg);
+            let Some(slot) = bs.slot(ctx.warp, s.reg) else {
+                continue;
+            };
+            let reason = if !is_dest && s.read_bits(ctx, slot.lane as u32) != slot.real {
+                KillReason::Overwrite
+            } else if off & (1u32 << slot.lane) != 0 {
+                KillReason::Predicate
+            } else {
+                continue;
+            };
+            recs.push(rec(
+                KIND_KILL,
+                slot.class,
+                Some(reason),
+                slot.lane,
+                s.reg,
+                None,
+            ));
+            bs.kill_slot(ctx.warp, s.reg);
+        }
+
+        // Step 2: destination write.
+        if let Some(d) = spec.dest {
+            let exc = d.exceptional_lanes(ctx, ctx.guarded_mask);
+            if exc != 0 {
+                let lane = exc.trailing_zeros();
+                let class = d.classify(ctx, lane);
+                // Parent lineage: first still-live source register in
+                // operand order (the destination itself counts when
+                // the instruction shares it with a source).
+                let live = bs.warp(ctx.warp);
+                let parent = spec
+                    .srcs
+                    .iter()
+                    .map(|s| s.reg)
+                    .find(|r| live.is_some_and(|m| m.contains(*r)));
+                if let Some(old) = bs.slot(ctx.warp, d.reg) {
+                    // A new lineage replaced the old occupant of this
+                    // register (even if the old carrying lane was
+                    // predicated off: single slot per register).
+                    if parent != Some(d.reg) {
+                        let reason = Some(KillReason::Overwrite);
+                        recs.push(rec(KIND_KILL, old.class, reason, old.lane, d.reg, None));
+                    }
+                }
+                let kind = if parent.is_some() {
+                    KIND_PROP
+                } else {
+                    KIND_BIRTH
                 };
-                if !is_dest && s.read_bits(ctx, slot.lane as u32) != slot.real {
-                    recs.push(encode_rec(
+                recs.push(rec(kind, class, None, lane as u8, d.reg, parent));
+                let real = d.read_bits(ctx, lane);
+                let slot = LiveSlot {
+                    lane: lane as u8,
+                    class,
+                    real,
+                };
+                bs.set_slot(ctx.warp, d.reg, slot);
+            } else if let Some(old) = bs.slot(ctx.warp, d.reg) {
+                if ctx.guarded_mask & (1u32 << old.lane) != 0 {
+                    // Clean writeback over a live lineage on an
+                    // executing lane: attribute the kill to the
+                    // conversion or the FTZ flush when one explains
+                    // it, else a plain clean overwrite.
+                    let reason = if spec.cvt {
+                        KillReason::Cvt
+                    } else if spec.ftz && old.class == RegClass::Sub && spec.shared {
+                        KillReason::Ftz
+                    } else {
+                        KillReason::Overwrite
+                    };
+                    recs.push(rec(
                         KIND_KILL,
-                        slot.class,
-                        Some(KillReason::Overwrite),
-                        self.loc,
-                        block,
-                        warp8,
-                        slot.lane,
-                        s.reg,
+                        old.class,
+                        Some(reason),
+                        old.lane,
+                        d.reg,
                         None,
-                        launch,
                     ));
-                    bs.live.remove(&(ctx.warp, s.reg));
-                } else if off & (1u32 << slot.lane) != 0 {
-                    recs.push(encode_rec(
-                        KIND_KILL,
-                        slot.class,
-                        Some(KillReason::Predicate),
-                        self.loc,
-                        block,
-                        warp8,
-                        slot.lane,
-                        s.reg,
-                        None,
-                        launch,
-                    ));
-                    bs.live.remove(&(ctx.warp, s.reg));
+                    bs.kill_slot(ctx.warp, d.reg);
                 }
+                // Carrying lane not written (predicated off at the
+                // dest): the value survives in the register.
             }
+        }
 
-            // Step 2: destination write.
-            if let Some(d) = spec.dest {
-                let exc = d.exceptional_lanes(ctx, ctx.guarded_mask);
-                if exc != 0 {
-                    let lane = exc.trailing_zeros();
-                    let class = d.classify(ctx, lane);
-                    // Parent lineage: first still-live source register in
-                    // operand order (the destination itself counts when
-                    // the instruction shares it with a source).
-                    let parent = spec
-                        .srcs
-                        .iter()
-                        .map(|s| s.reg)
-                        .find(|r| bs.live.contains_key(&(ctx.warp, *r)));
-                    if let Some(old) = bs.live.get(&(ctx.warp, d.reg)).copied() {
-                        // A new lineage replaced the old occupant of this
-                        // register (even if the old carrying lane was
-                        // predicated off: single slot per register).
-                        if parent != Some(d.reg) {
-                            recs.push(encode_rec(
-                                KIND_KILL,
-                                old.class,
-                                Some(KillReason::Overwrite),
-                                self.loc,
-                                block,
-                                warp8,
-                                old.lane,
-                                d.reg,
-                                None,
-                                launch,
-                            ));
-                        }
-                    }
-                    match parent {
-                        Some(p) => recs.push(encode_rec(
-                            KIND_PROP,
-                            class,
-                            None,
-                            self.loc,
-                            block,
-                            warp8,
-                            lane as u8,
-                            d.reg,
-                            Some(p),
-                            launch,
-                        )),
-                        None => recs.push(encode_rec(
-                            KIND_BIRTH, class, None, self.loc, block, warp8, lane as u8, d.reg,
-                            None, launch,
-                        )),
-                    }
-                    bs.live.insert(
-                        (ctx.warp, d.reg),
-                        LiveSlot {
-                            lane: lane as u8,
-                            class,
-                            real: d.read_bits(ctx, lane),
-                        },
-                    );
-                } else if let Some(old) = bs.live.get(&(ctx.warp, d.reg)).copied() {
-                    if ctx.guarded_mask & (1u32 << old.lane) != 0 {
-                        // Clean writeback over a live lineage on an
-                        // executing lane: attribute the kill to the
-                        // conversion or the FTZ flush when one explains
-                        // it, else a plain clean overwrite.
-                        let reason = if spec.cvt {
-                            KillReason::Cvt
-                        } else if spec.ftz && old.class == RegClass::Sub && spec.shared {
-                            KillReason::Ftz
-                        } else {
-                            KillReason::Overwrite
-                        };
-                        recs.push(encode_rec(
-                            KIND_KILL,
-                            old.class,
-                            Some(reason),
-                            self.loc,
-                            block,
-                            warp8,
-                            old.lane,
-                            d.reg,
-                            None,
-                            launch,
-                        ));
-                        bs.live.remove(&(ctx.warp, d.reg));
-                    }
-                    // Carrying lane not written (predicated off at the
-                    // dest): the value survives in the register.
-                }
-            }
-
-            // Hit ordinals + capture, counted under the block lock in
-            // stage order — exactly what the drain merge reproduces.
-            for rec in &recs {
-                let n = bs.hits.entry((ctx.warp, self.loc)).or_insert(0);
-                let ord = *n;
-                *n += 1;
-                if let Some(t) = &self.shared.capture {
-                    if t.launch == launch
-                        && t.block == block
-                        && t.warp == warp8
-                        && t.loc == self.loc
-                        && t.nth == ord
-                    {
-                        let _ = rec;
-                        let mut dump = self.shared.dump.lock();
-                        if dump.is_none() {
-                            *dump = Some(build_dump(ctx, spec, bs, self.loc, launch));
-                        }
+        // Hit ordinals + capture, counted under the block lock in
+        // stage order — exactly what the drain merge reproduces.
+        for _ in &recs {
+            let n = bs.hits.entry((ctx.warp, self.loc)).or_insert(0);
+            let ord = *n;
+            *n += 1;
+            if let Some(t) = &self.shared.capture {
+                if t.launch == launch
+                    && t.block == block
+                    && t.warp == warp8
+                    && t.loc == self.loc
+                    && t.nth == ord
+                {
+                    let mut dump = self.shared.dump.lock();
+                    if dump.is_none() {
+                        *dump = Some(build_dump(ctx, spec, bs, self.loc, launch));
                     }
                 }
             }
@@ -556,6 +559,7 @@ impl DeviceFn for CoachFn {
             }
             ctx.clock.charge(stall);
         }
+        bs.recs = recs;
     }
 }
 
@@ -1127,5 +1131,48 @@ mod tests {
             0,
             "hit ordinals are per launch"
         );
+    }
+
+    #[test]
+    fn capture_lists_only_its_own_warps_live_lineage() {
+        // Two warps carry INF lineages in interleaved registers: warp 0
+        // in R2 and R5, warp 1 in R4 then R3. The dump captured at warp
+        // 1's propagation must list warp 1's registers alone, in
+        // register order.
+        let src = r#"
+.kernel k
+    S2R R0, SR_TID.X ;
+    ISETP.GE.AND P0, R0, 0x20 ;
+    MOV32I R1, 0x7f000000 ;
+    @!P0 FMUL R2, R1, R1 ;
+    @!P0 FMUL R5, R2, R1 ;
+    @P0 FMUL R4, R1, R1 ;
+    @P0 FMUL R3, R4, R1 ;
+    EXIT ;
+"#;
+        let k = Arc::new(assemble_kernel(src).unwrap());
+        let launch = |cfg: CoachConfig| {
+            let mut nv = Nvbit::new(Gpu::new(Arch::Ampere), Coach::new(cfg));
+            nv.launch(&k, &LaunchConfig::new(1, 64, vec![])).unwrap();
+            nv.terminate();
+            nv.tool
+        };
+        let rep = launch(CoachConfig::default()).into_report();
+        assert_eq!(rep.timelines.len(), 2, "{rep:#?}");
+        let prop = rep
+            .timelines
+            .iter()
+            .flat_map(|t| &t.events)
+            .find(|e| e.kind == EventKind::Propagate && e.warp == 1)
+            .expect("warp 1 propagates R4 into R3");
+        let tool = launch(CoachConfig {
+            capture: Some(CaptureTarget::for_event(prop)),
+            ..CoachConfig::default()
+        });
+        let dump = tool.take_dump().expect("capture fired");
+        assert_eq!(dump.warp, 1);
+        let live: Vec<(u8, u8, RegClass)> =
+            dump.live.iter().map(|l| (l.reg, l.lane, l.class)).collect();
+        assert_eq!(live, vec![(3, 0, RegClass::Inf), (4, 0, RegClass::Inf)]);
     }
 }

@@ -225,6 +225,25 @@ fn is_cancellation(a: f64, b: f64, real: f64, threshold: u32) -> bool {
     }
 }
 
+/// Whether a writeback needs no verdict: the shadow is non-finite (it
+/// cannot judge the real value, and the caller heals the slot) or real
+/// and shadow agree within `budget` ulps on `grid`.
+/// [`classify_writeback`] returns `None` exactly for these.
+#[inline]
+pub fn within_budget(real: f64, shadow: f64, budget: f64, grid: UlpGrid) -> bool {
+    !shadow.is_finite() || (real.is_finite() && err_ulps(real, shadow, grid) <= budget)
+}
+
+/// [`within_budget`] over one warp's row of writebacks: bit `lane` is
+/// set when that lane needs no verdict.
+pub fn within_budget_row(real: &[f64; 32], shadow: &[f64; 32], budget: f64, grid: UlpGrid) -> u32 {
+    let mut mask = 0u32;
+    for l in 0..32 {
+        mask |= (within_budget(real[l], shadow[l], budget, grid) as u32) << l;
+    }
+    mask
+}
+
 /// Classify one writeback. `addends` carries the two effective addend
 /// shadow values for add/sub-shaped ops (for FFMA: the product and the
 /// addend); `None` for everything else. Returns `None` when real and
@@ -238,16 +257,13 @@ pub fn classify_writeback(
     cfg: &ShadowConfig,
     grid: UlpGrid,
 ) -> Option<(DivergenceKind, f64)> {
-    if !shadow.is_finite() {
+    if within_budget(real, shadow, cfg.ulp_budget, grid) {
         return None;
     }
     if !real.is_finite() {
         return Some((DivergenceKind::TotalLoss, f64::INFINITY));
     }
     let err = err_ulps(real, shadow, grid);
-    if err <= cfg.ulp_budget {
-        return None;
-    }
     if let Some((a, b)) = addends {
         if is_cancellation(a, b, real, cfg.cancel_threshold) {
             return Some((DivergenceKind::Cancellation, err));

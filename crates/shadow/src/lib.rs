@@ -42,9 +42,11 @@
 //! [`LocationTable`]: gpu_fpx::LocationTable
 
 pub mod classify;
+pub mod regmap;
 pub mod report;
 pub mod tool;
 
 pub use classify::{DivergenceKind, ShadowConfig, ShadowMode};
+pub use regmap::RegMap;
 pub use report::{observe_shadow, ShadowFinding, ShadowReport};
 pub use tool::Shadow;

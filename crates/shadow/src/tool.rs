@@ -5,9 +5,14 @@
 //!
 //! The shadow register file holds one 32-lane slot row per ⟨block, warp,
 //! register⟩, laid out like the simulator's `WarpLanes` (one array per
-//! field, lane-indexed), so a warp-instruction probes the file once per
-//! source and once for its destination, not once per lane. Each lane's
-//! slot records the width and raw real bits it shadowed. On every read
+//! field, lane-indexed) and found through the warp's [`RegMap`], so a
+//! warp-instruction costs a pass over rows, not 32 scalar walks: each
+//! register source resolves all 32 lanes in one straight-line pass over
+//! its register row and slot row, the op is matched once and computed
+//! for the whole row, one helper tests the row against the ulp budget
+//! (the full classifier runs only for the reported lane), and a
+//! full-mask result replaces the destination's slot row array by array.
+//! Each lane's slot records the raw real bits it shadowed. On every read
 //! the slot self-validates: if the register's current bits differ from
 //! the recorded ones, some un-shadowed producer (a memory load, a type
 //! convert, an integer op) overwrote the register, and the slot heals to
@@ -27,9 +32,10 @@
 //! deterministic record.
 
 use crate::classify::{
-    classify_writeback, flush32, rpc_truncate, DivergenceKind, ShadowConfig, ShadowMode, UlpGrid,
-    F32_GRID, RPC_GRID,
+    classify_writeback, flush32, rpc_truncate, within_budget_row, DivergenceKind, ShadowConfig,
+    ShadowMode, UlpGrid, F32_GRID, RPC_GRID,
 };
+use crate::regmap::RegMap;
 use crate::report::{ShadowFinding, ShadowReport};
 use fpx_nvbit::tool::{Inserter, LaunchCtx, NvbitTool, ToolCtx};
 use fpx_obs::{Counter, Obs};
@@ -37,10 +43,11 @@ use fpx_sass::instr::Instruction;
 use fpx_sass::kernel::KernelCode;
 use fpx_sass::op::{BaseOp, MufuFunc};
 use fpx_sass::operand::{CBankRef, Operand, PredOperand, Reg, RZ};
-use fpx_sass::types::FpFormat;
+use fpx_sass::types::{pair_to_f64_bits, FpFormat};
 use fpx_sim::exec::lanes_of;
 use fpx_sim::fpu;
 use fpx_sim::hooks::{DeviceFn, InjectionCtx, Phase, When};
+use fpx_sim::warp::WarpLanes;
 use gpu_fpx::record::LocationTable;
 use gpu_fpx::FlowState;
 use parking_lot::Mutex;
@@ -196,16 +203,19 @@ fn parse_generic(s: &str, wide: bool) -> Option<f64> {
 /// Lanes per warp: the width of a slot row and of an operand column.
 const LANES: usize = fpx_sim::WARP_SIZE as usize;
 
+/// Every lane of a warp.
+const FULL_MASK: u32 = u32::MAX;
+
 /// One ⟨warp, register⟩ row of the shadow register file: a slot per
-/// lane, one array per field.
+/// lane, one array per field. One sanitizer shadows one register width
+/// (single registers in full mode, pairs in RPC mode), so a slot needs
+/// no width of its own.
 #[derive(Debug, Default)]
 struct SlotRow {
-    /// Register width each lane's slot shadows (4 = one reg, 8 = a
-    /// pair, 0 = never written).
-    width: [u8; LANES],
-    /// The raw real bits at the time the shadow was written; a mismatch
+    /// The raw real bits each lane's shadow was written for; a mismatch
     /// on read means an un-shadowed producer overwrote the register and
-    /// the slot heals.
+    /// the slot heals. A never-written lane holds bits 0 and shadow +0.0,
+    /// which is what healing bits 0 gives, so it needs no flag.
     real: [u64; LANES],
     shadow: [f64; LANES],
     /// Bit `lane` set: that lane's shadow had diverged.
@@ -213,29 +223,81 @@ struct SlotRow {
 }
 
 impl SlotRow {
-    /// The lane's shadow and divergence flag, if its slot still shadows
-    /// `raw` at `width`.
+    /// The row of a register no shadowed op has written.
+    const EMPTY: SlotRow = SlotRow {
+        real: [0; LANES],
+        shadow: [0.0; LANES],
+        diverged: 0,
+    };
+
+    /// Resolve register source `num` (negated when `neg`) on every lane
+    /// into `col`, in one pass over its register row(s): a lane whose
+    /// slot still shadows the register's current bits reads the slot's
+    /// shadow, any other lane heals to the real value widened to shadow
+    /// precision. Returns the lanes whose shadow had diverged.
     #[inline]
-    fn read(&self, lane: u32, width: u8, raw: u64) -> Option<(f64, bool)> {
-        let l = lane as usize;
-        (self.width[l] == width && self.real[l] == raw)
-            .then(|| (self.shadow[l], self.diverged & (1 << lane) != 0))
+    fn resolve_reg(
+        &self,
+        lanes: &WarpLanes,
+        num: Reg,
+        neg: bool,
+        wide: bool,
+        col: &mut [f64; LANES],
+    ) -> u32 {
+        let sign = (neg as u64) << 63;
+        let lo = lanes.reg_row(num);
+        let mut raw = [0u64; LANES];
+        if wide {
+            let hi = lanes.reg_row(num + 1);
+            for l in 0..LANES {
+                raw[l] = pair_to_f64_bits(lo[l], hi[l]);
+                let v = if self.real[l] == raw[l] {
+                    self.shadow[l]
+                } else {
+                    rpc_truncate(f64::from_bits(raw[l]))
+                };
+                col[l] = f64::from_bits(v.to_bits() ^ sign);
+            }
+        } else {
+            for l in 0..LANES {
+                raw[l] = lo[l] as u64;
+                let v = if self.real[l] == raw[l] {
+                    self.shadow[l]
+                } else {
+                    f32::from_bits(lo[l]) as f64
+                };
+                col[l] = f64::from_bits(v.to_bits() ^ sign);
+            }
+        }
+        // Only a lane that held its divergent shadow passes it on.
+        lanes_of(self.diverged)
+            .filter(|&l| self.real[l as usize] == raw[l as usize])
+            .fold(0, |m, l| m | 1 << l)
     }
 
+    /// Store the `mask` lanes of a writeback: a full mask replaces the
+    /// row array by array, a partial one only its guarded lanes.
     #[inline]
-    fn write(&mut self, lane: u32, width: u8, raw: u64, shadow: f64, diverged: bool) {
-        let l = lane as usize;
-        self.width[l] = width;
-        self.real[l] = raw;
-        self.shadow[l] = shadow;
-        self.diverged = self.diverged & !(1 << lane) | (diverged as u32) << lane;
+    fn store(&mut self, mask: u32, real: &[u64; LANES], shadow: &[f64; LANES], diverged: u32) {
+        if mask == FULL_MASK {
+            self.real = *real;
+            self.shadow = *shadow;
+            self.diverged = diverged;
+            return;
+        }
+        for l in lanes_of(mask) {
+            let l = l as usize;
+            self.real[l] = real[l];
+            self.shadow[l] = shadow[l];
+        }
+        self.diverged = self.diverged & !mask | diverged & mask;
     }
 }
 
-/// The sources of one warp-instruction, resolved for its guarded lanes
-/// and stored positionally: `val[s][i]` is source `s` of the `i`-th
-/// guarded lane, and bit `i` of `diverged` is set when any of that
-/// lane's sources carried a divergent shadow.
+/// The sources of one warp-instruction, one lane-indexed column per
+/// source: `val[s][lane]` is source `s` on `lane`, and bit `lane` of
+/// `diverged` is set when any of that lane's sources carried a divergent
+/// shadow. Lanes outside the guarded mask hold values nothing reads.
 #[derive(Debug, Default)]
 struct Operands {
     val: [[f64; LANES]; 3],
@@ -250,7 +312,8 @@ struct Operands {
 /// resolves its own sources into it.
 #[derive(Debug, Default)]
 struct BlockShadow {
-    rows: HashMap<(u32, Reg), SlotRow>,
+    /// Indexed by warp: that warp's slot rows by register.
+    rows: Vec<RegMap<SlotRow>>,
     ops: Operands,
     /// The warp whose Before capture `ops` holds, until its After call.
     pending: Option<u32>,
@@ -298,10 +361,32 @@ struct ShadowFn {
     args: u32,
 }
 
-/// Resolve every source of `spec` for the guarded lanes into `ops`,
-/// reading each source register's slot row once.
+/// The raw real bits of register `r` (or of the pair `r`, `r+1` when
+/// `wide`) on every lane, with their values as f64.
+#[inline]
+fn real_row(ctx: &InjectionCtx<'_, '_>, r: Reg, wide: bool) -> ([u64; LANES], [f64; LANES]) {
+    let mut bits = [0u64; LANES];
+    let mut val = [0f64; LANES];
+    let lo = ctx.lanes.reg_row(r);
+    if wide {
+        let hi = ctx.lanes.reg_row(r + 1);
+        for l in 0..LANES {
+            bits[l] = pair_to_f64_bits(lo[l], hi[l]);
+            val[l] = f64::from_bits(bits[l]);
+        }
+    } else {
+        for l in 0..LANES {
+            bits[l] = lo[l] as u64;
+            val[l] = f32::from_bits(lo[l]) as f64;
+        }
+    }
+    (bits, val)
+}
+
+/// Resolve every source of `spec` on all 32 lanes into `ops`, reading
+/// each source register's row and slot row once.
 fn resolve(
-    rows: &HashMap<(u32, Reg), SlotRow>,
+    rows: Option<&RegMap<SlotRow>>,
     spec: &ShadowSpec,
     ctx: &InjectionCtx<'_, '_>,
     ops: &mut Operands,
@@ -311,20 +396,8 @@ fn resolve(
     for (col, src) in ops.val.iter_mut().zip(&spec.srcs) {
         match *src {
             SrcSpec::Reg { num, neg } => {
-                let row = rows.get(&(ctx.warp, num));
-                for (i, lane) in lanes_of(ctx.guarded_mask).enumerate() {
-                    let (sh, div) = if wide {
-                        let raw = ctx.lanes.reg_pair(lane, num);
-                        row.and_then(|r| r.read(lane, 8, raw))
-                            .unwrap_or((rpc_truncate(f64::from_bits(raw)), false))
-                    } else {
-                        let raw = ctx.lanes.reg(lane, num);
-                        row.and_then(|r| r.read(lane, 4, raw as u64))
-                            .unwrap_or((f32::from_bits(raw) as f64, false))
-                    };
-                    col[i] = if neg { -sh } else { sh };
-                    ops.diverged |= (div as u32) << i;
-                }
+                let row = rows.and_then(|r| r.get(num)).unwrap_or(&SlotRow::EMPTY);
+                ops.diverged |= row.resolve_reg(ctx.lanes, num, neg, wide, col);
             }
             SrcSpec::Const(v) => col.fill(v),
             SrcSpec::CBank(c) => col.fill(if wide {
@@ -356,62 +429,77 @@ fn mufu_shadow(f: MufuFunc, x: f64) -> f64 {
     flush32(v)
 }
 
-impl ShadowFn {
-    /// Compute the shadow result for `lane`, the `i`-th guarded lane;
-    /// returns the result and the add/sub addend pair for cancellation
-    /// shape detection.
-    fn shadow_result(
-        &self,
-        ctx: &InjectionCtx<'_, '_>,
-        lane: u32,
-        ops: &Operands,
-        i: usize,
-    ) -> (f64, Option<(f64, f64)>) {
-        let spec = &self.spec;
-        let narrow_ftz = spec.ftz && !spec.wide();
-        let v = |s: usize| ops.val[s][i];
-        let (s, addends) = match spec.op {
+impl ShadowSpec {
+    /// Compute the shadow result of every lane of the row into `out`
+    /// (the op is matched once per call). Add, multiply and FMA run over
+    /// all 32 lanes, with `.FTZ` inputs flushed in place in `ops`; MUFU
+    /// and FMNMX run over the guarded lanes.
+    fn shadow_row(&self, ctx: &InjectionCtx<'_, '_>, ops: &mut Operands, out: &mut [f64; LANES]) {
+        let narrow_ftz = self.ftz && !self.wide();
+        if narrow_ftz && matches!(self.op, ShadowOp::Add | ShadowOp::Mul | ShadowOp::Fma) {
+            for v in ops.val.iter_mut().take(self.srcs.len()).flatten() {
+                *v = flush32(*v);
+            }
+        }
+        let [a, b, c] = &ops.val;
+        match self.op {
             ShadowOp::Add => {
-                let (a, b) = if narrow_ftz {
-                    (flush32(v(0)), flush32(v(1)))
-                } else {
-                    (v(0), v(1))
-                };
-                (a + b, Some((a, b)))
+                for l in 0..LANES {
+                    out[l] = a[l] + b[l];
+                }
             }
             ShadowOp::Mul => {
-                let (a, b) = if narrow_ftz {
-                    (flush32(v(0)), flush32(v(1)))
-                } else {
-                    (v(0), v(1))
-                };
-                (a * b, None)
+                for l in 0..LANES {
+                    out[l] = a[l] * b[l];
+                }
             }
             ShadowOp::Fma => {
-                let (a, b, c) = if narrow_ftz {
-                    (flush32(v(0)), flush32(v(1)), flush32(v(2)))
-                } else {
-                    (v(0), v(1), v(2))
-                };
-                (a.mul_add(b, c), Some((a * b, c)))
+                for l in 0..LANES {
+                    out[l] = a[l].mul_add(b[l], c[l]);
+                }
             }
-            ShadowOp::Mufu(f) => (mufu_shadow(f, v(0)), None),
+            ShadowOp::Mufu(f) => {
+                for l in lanes_of(ctx.guarded_mask) {
+                    let l = l as usize;
+                    out[l] = mufu_shadow(f, a[l]);
+                }
+            }
             ShadowOp::MnMx => {
                 // min if the selector predicate holds, else max; inputs
                 // are not flushed (mirrors the interpreter's FMNMX).
-                let p = self.spec.mnmx_pred.as_ref().expect("MnMx has a pred");
-                let is_min = ctx.lanes.pred(lane, p.reg) != p.neg;
-                let s = if is_min {
-                    fpu::min_2008(v(0), v(1))
-                } else {
-                    fpu::max_2008(v(0), v(1))
-                };
-                (s, None)
+                let p = self.mnmx_pred.as_ref().expect("MnMx has a pred");
+                for lane in lanes_of(ctx.guarded_mask) {
+                    let l = lane as usize;
+                    out[l] = if ctx.lanes.pred(lane, p.reg) != p.neg {
+                        fpu::min_2008(a[l], b[l])
+                    } else {
+                        fpu::max_2008(a[l], b[l])
+                    };
+                }
             }
-        };
-        let s = if narrow_ftz { flush32(s) } else { s };
-        let s = if spec.wide() { rpc_truncate(s) } else { s };
-        (s, addends)
+        }
+        if narrow_ftz {
+            for v in out.iter_mut() {
+                *v = flush32(*v);
+            }
+        }
+        if self.wide() {
+            for v in out.iter_mut() {
+                *v = rpc_truncate(*v);
+            }
+        }
+    }
+
+    /// The add/sub addend pair of `lane` for cancellation shape
+    /// detection (FFMA: the product and the addend), from the operand
+    /// columns `shadow_row` left behind.
+    fn addends(&self, ops: &Operands, lane: usize) -> Option<(f64, f64)> {
+        let v = |s: usize| ops.val[s][lane];
+        match self.op {
+            ShadowOp::Add => Some((v(0), v(1))),
+            ShadowOp::Fma => Some((v(0) * v(1), v(2))),
+            ShadowOp::Mul | ShadowOp::Mufu(_) | ShadowOp::MnMx => None,
+        }
     }
 }
 
@@ -426,83 +514,90 @@ impl DeviceFn for ShadowFn {
 
     fn call(&self, ctx: &mut InjectionCtx<'_, '_>) {
         let spec = &self.spec;
+        let cfg = &self.shared.cfg;
         let mut st = self.shared.state.lock();
         let bs = st.entry(ctx.block).or_default();
+        let warp = ctx.warp as usize;
 
         if self.before {
             // Pre-execution operand capture for shared-dest sites: the
             // source shadows must be read before the result overwrites
             // the aliased register.
-            resolve(&bs.rows, spec, ctx, &mut bs.ops);
+            resolve(bs.rows.get(warp), spec, ctx, &mut bs.ops);
             bs.pending = Some(ctx.warp);
             return;
         }
 
         if bs.pending.take() != Some(ctx.warp) {
-            resolve(&bs.rows, spec, ctx, &mut bs.ops);
+            resolve(bs.rows.get(warp), spec, ctx, &mut bs.ops);
         }
-        let ops = &bs.ops;
-        let width = if spec.wide() { 8 } else { 4 };
-        let row = bs.rows.entry((ctx.warp, spec.dest)).or_default();
-        let mut comparisons = 0u64;
-        let mut record: Option<[u8; REC_LEN]> = None;
-        for (i, lane) in lanes_of(ctx.guarded_mask).enumerate() {
-            let (shadow, addends) = self.shadow_result(ctx, lane, ops, i);
-            let src_diverged = ops.diverged & (1 << i) != 0;
+        let guarded = ctx.guarded_mask;
+        let wide = spec.wide();
+        let mut shadow = [0f64; LANES];
+        spec.shadow_row(ctx, &mut bs.ops, &mut shadow);
+        let (real_bits, real) = real_row(ctx, spec.dest, wide);
 
-            let (real_bits, real) = if spec.wide() {
-                let b = ctx.lanes.reg_pair(lane, spec.dest);
-                (b, f64::from_bits(b))
-            } else {
-                let b = ctx.lanes.reg(lane, spec.dest);
-                (b as u64, f32::from_bits(b) as f64)
-            };
-            comparisons += 1;
-
-            let verdict = classify_writeback(addends, real, shadow, &self.shared.cfg, spec.grid());
-            let dest_diverged = verdict.is_some();
-
-            // Slot update: a clean non-finite shadow heals to the real
-            // value (it can no longer judge anything downstream).
-            let new_shadow = if dest_diverged || shadow.is_finite() {
-                shadow
-            } else if spec.wide() {
-                rpc_truncate(real)
-            } else {
-                real
-            };
-            row.write(lane, width, real_bits, new_shadow, dest_diverged);
-
-            let state = match (dest_diverged, src_diverged) {
+        // A lane diverges exactly when it is outside the within-budget
+        // mask; the full classifier runs only for the reported lane, the
+        // first event-bearing one.
+        let within = within_budget_row(&real, &shadow, cfg.ulp_budget, spec.grid());
+        let dest_diverged = guarded & !within;
+        let src_diverged = guarded & bs.ops.diverged;
+        let events = dest_diverged | src_diverged;
+        let record = (events != 0).then(|| {
+            let l = events.trailing_zeros() as usize;
+            let dest = dest_diverged & (1 << l) != 0;
+            let state = match (dest, src_diverged & (1 << l) != 0) {
                 (true, false) => FlowState::Appearance,
                 (true, true) => FlowState::Propagation,
-                (false, true) => FlowState::Disappearance,
-                (false, false) => continue,
+                (false, _) => FlowState::Disappearance,
             };
-            if record.is_none() {
-                let (kind_code, err) = match verdict {
-                    Some((k, e)) => (k.code(), e),
-                    None => (0u8, 0.0f64),
-                };
-                let mut rec = [0u8; REC_LEN];
-                rec[0] = state_code(state);
-                rec[1] = kind_code;
-                rec[2..4].copy_from_slice(&self.loc.to_le_bytes());
-                rec[4..6].copy_from_slice(&(ctx.block as u16).to_le_bytes());
-                rec[6] = ctx.warp as u8;
-                rec[7] = lane as u8;
-                rec[8] = spec.wide() as u8;
-                rec[9..17].copy_from_slice(&real_bits.to_le_bytes());
-                rec[17..25].copy_from_slice(&shadow.to_bits().to_le_bytes());
-                rec[25..33].copy_from_slice(&err.to_le_bytes());
-                record = Some(rec);
+            let (kind_code, err) = if dest {
+                let (k, e) = classify_writeback(
+                    spec.addends(&bs.ops, l),
+                    real[l],
+                    shadow[l],
+                    cfg,
+                    spec.grid(),
+                )
+                .expect("a lane outside the within-budget mask has a verdict");
+                (k.code(), e)
+            } else {
+                (0u8, 0.0f64)
+            };
+            let mut rec = [0u8; REC_LEN];
+            rec[0] = state_code(state);
+            rec[1] = kind_code;
+            rec[2..4].copy_from_slice(&self.loc.to_le_bytes());
+            rec[4..6].copy_from_slice(&(ctx.block as u16).to_le_bytes());
+            rec[6] = ctx.warp as u8;
+            rec[7] = l as u8;
+            rec[8] = wide as u8;
+            rec[9..17].copy_from_slice(&real_bits[l].to_le_bytes());
+            rec[17..25].copy_from_slice(&shadow[l].to_bits().to_le_bytes());
+            rec[25..33].copy_from_slice(&err.to_le_bytes());
+            rec
+        });
+
+        // Slot update: a clean non-finite shadow heals to the real value
+        // (it can no longer judge anything downstream).
+        for l in 0..LANES {
+            if dest_diverged & (1 << l) == 0 && !shadow[l].is_finite() {
+                shadow[l] = if wide { rpc_truncate(real[l]) } else { real[l] };
             }
         }
+        if bs.rows.len() <= warp {
+            bs.rows.resize_with(warp + 1, RegMap::default);
+        }
+        bs.rows[warp]
+            .get_or_insert_with(spec.dest, SlotRow::default)
+            .store(guarded, &real_bits, &shadow, dest_diverged);
         drop(st);
-        if comparisons > 0 {
+
+        if guarded != 0 {
             self.shared
                 .comparisons
-                .fetch_add(comparisons, Ordering::Relaxed);
+                .fetch_add(guarded.count_ones() as u64, Ordering::Relaxed);
         }
         if let Some(rec) = record {
             let stall = ctx.channel.push(&rec);
@@ -668,7 +763,11 @@ mod tests {
     use fpx_sim::gpu::{Arch, Gpu, LaunchConfig, ParamValue};
 
     fn run_with(cfg: ShadowConfig, src: &str, params: Vec<ParamValue>) -> ShadowReport {
-        let k = Arc::new(assemble_kernel(src).unwrap());
+        run_kernel(cfg, assemble_kernel(src).unwrap(), params)
+    }
+
+    fn run_kernel(cfg: ShadowConfig, k: KernelCode, params: Vec<ParamValue>) -> ShadowReport {
+        let k = Arc::new(k);
         let mut nv = Nvbit::new(Gpu::new(Arch::Ampere), Shadow::new(cfg));
         nv.launch(&k, &LaunchConfig::new(1, 32, params)).unwrap();
         nv.terminate();
@@ -950,5 +1049,312 @@ mod tests {
         );
         assert_eq!(rep.findings.len(), 1);
         assert_eq!(rep.dropped, 2);
+    }
+
+    /// One finding as the table pins it: state, kind, lane, real bits,
+    /// shadow bits.
+    type Pinned = (FlowState, Option<DivergenceKind>, u8, u64, u64);
+
+    /// One row of the op-shape table: a one-warp kernel, its mode and
+    /// parameters, and the comparison count and findings it must give.
+    /// `generic_inf` lists instructions whose last operand is rewritten
+    /// to the GENERIC literal `+INF` (the assembler reads `+INF` as an
+    /// IMM_DOUBLE).
+    struct Case {
+        name: &'static str,
+        mode: ShadowMode,
+        src: &'static str,
+        params: Vec<ParamValue>,
+        generic_inf: &'static [usize],
+        comparisons: u64,
+        findings: &'static [Pinned],
+    }
+
+    fn pinned(rep: &ShadowReport) -> Vec<Pinned> {
+        rep.findings
+            .iter()
+            .map(|f| (f.state, f.kind, f.lane, f.real_bits, f.shadow_bits))
+            .collect()
+    }
+
+    #[test]
+    fn every_shadowed_op_shape_and_source_kind_matches_its_pinned_findings() {
+        use DivergenceKind::*;
+        use FlowState::*;
+        let cases = [
+            Case {
+                // MUFU results feed FFMA residuals: the SFU's rounding
+                // against the exact shadow. RCP of a subnormal: the SFU
+                // flushes it to +0, so real and shadow are both +INF
+                // (no finding; the slot heals).
+                name: "mufu",
+                mode: ShadowMode::Full,
+                src: r#"
+.kernel k
+    S2R R0, SR_LANEID ;
+    I2F R7, R0 ;
+    FADD R7, R7, 2.0 ;
+    MUFU.SQRT R1, R7 ;
+    FFMA R2, R1, R1, -R7 ;
+    MUFU.RCP R3, R7 ;
+    FFMA R4, R3, R7, -1.0 ;
+    MOV32I R8, 0x10 ;
+    MUFU.RCP R9, R8 ;
+    FMUL R10, R9, 2.0 ;
+    EXIT ;
+"#,
+                params: vec![],
+                generic_inf: &[],
+                comparisons: 224,
+                findings: &[
+                    (
+                        Appearance,
+                        Some(Cancellation),
+                        0,
+                        0xb590f3e0,
+                        0x3cb3b3efbf5e2229,
+                    ),
+                    (
+                        Appearance,
+                        Some(Cancellation),
+                        1,
+                        0xb4800000,
+                        0xbc90000000000000,
+                    ),
+                ],
+            },
+            Case {
+                // R2 diverges on every lane; FMNMX picks min on lanes
+                // where its selector holds (P0: lanes 16..31) and max
+                // elsewhere, under both polarities.
+                name: "fmnmx",
+                mode: ShadowMode::Full,
+                src: r#"
+.kernel k
+    S2R R0, SR_LANEID ;
+    ISETP.GE.AND P0, R0, 0x10 ;
+    I2F R7, R0 ;
+    MOV32I R1, 0x3f800000 ;
+    MOV32I R4, 0x30000000 ;
+    FADD R1, R1, R4 ;
+    FADD R2, R1, -1.0 ;
+    FMUL R5, R7, 1e-12 ;
+    FMNMX R3, R2, R5, P0 ;
+    FMNMX R6, R2, R5, !P0 ;
+    @P0 FMUL R9, R3, 2.0 ;
+    @P0 FMUL R10, R6, 2.0 ;
+    EXIT ;
+"#,
+                params: vec![],
+                generic_inf: &[],
+                comparisons: 192,
+                findings: &[
+                    (Appearance, Some(Cancellation), 0, 0x0, 0x3e00000000000000),
+                    (Propagation, Some(LargeRelError), 0, 0x0, 0x3e00000000000000),
+                    (Disappearance, None, 0, 0x0, 0x0),
+                    (
+                        Propagation,
+                        Some(LargeRelError),
+                        16,
+                        0x0,
+                        0x3dc1979980000000,
+                    ),
+                    (
+                        Propagation,
+                        Some(LargeRelError),
+                        16,
+                        0x2e0cbccc,
+                        0x3e10000000000000,
+                    ),
+                ],
+            },
+            Case {
+                // FFMA cancels through its product/addend pair, with a
+                // plain and a negated multiplicand; the last FFMA reads
+                // the divergent R3 as its addend.
+                name: "ffma",
+                mode: ShadowMode::Full,
+                src: r#"
+.kernel k
+    S2R R0, SR_LANEID ;
+    I2F R7, R0 ;
+    MOV32I R1, 0x3f800000 ;
+    MOV32I R4, 0x30000000 ;
+    FADD R1, R1, R4 ;
+    MOV32I R5, 0x3f800000 ;
+    FFMA R3, R1, R5, -1.0 ;
+    FFMA R6, R1, -R5, R5 ;
+    FFMA R8, R7, R7, R3 ;
+    EXIT ;
+"#,
+                params: vec![],
+                generic_inf: &[],
+                comparisons: 128,
+                findings: &[
+                    (Appearance, Some(Cancellation), 0, 0x0, 0x3e00000000000000),
+                    (Appearance, Some(Cancellation), 0, 0x0, 0xbe00000000000000),
+                    (Propagation, Some(LargeRelError), 0, 0x0, 0x3e00000000000000),
+                ],
+            },
+            Case {
+                // `.FTZ` flushes subnormal inputs and results on both
+                // sides, so nothing fires; the plain twins keep them.
+                name: "ftz",
+                mode: ShadowMode::Full,
+                src: r#"
+.kernel k
+    MOV32I R1, 0x400000 ;
+    FADD.FTZ R2, R1, R1 ;
+    FADD R3, R1, R1 ;
+    MOV32I R4, 0xd800000 ;
+    MOV32I R5, 0x30800000 ;
+    FMUL.FTZ R6, R4, R5 ;
+    FMUL R7, R4, R5 ;
+    FFMA.FTZ R8, R1, R5, R4 ;
+    EXIT ;
+"#,
+                params: vec![],
+                generic_inf: &[],
+                comparisons: 160,
+                findings: &[],
+            },
+            Case {
+                // RPC: DFMA cancels 1 + 2^-40 (truncated shadow 1.0)
+                // against -1; DMNMX takes min on lanes 16..31 (still
+                // divergent) and max elsewhere (re-converged).
+                name: "rpc",
+                mode: ShadowMode::Rpc,
+                src: r#"
+.kernel k
+    S2R R0, SR_LANEID ;
+    ISETP.GE.AND P0, R0, 0x10 ;
+    MOV32I R4, 0x0 ;
+    MOV32I R5, 0x3d700000 ;
+    DADD R6, R4, 1.0 ;
+    MOV32I R8, 0x0 ;
+    MOV32I R9, 0x3ff00000 ;
+    DFMA R10, R6, R8, -1.0 ;
+    MOV32I R12, 0x0 ;
+    MOV32I R13, 0x3e100000 ;
+    DMNMX R14, R10, R12, P0 ;
+    @P0 DMUL R16, R14, 2.0 ;
+    DMUL R18, R14, 2.0 ;
+    EXIT ;
+"#,
+                params: vec![],
+                generic_inf: &[],
+                comparisons: 144,
+                findings: &[
+                    (Appearance, Some(Cancellation), 0, 0x3d70000000000000, 0x0),
+                    (
+                        Disappearance,
+                        None,
+                        0,
+                        0x3e10000000000000,
+                        0x3e10000000000000,
+                    ),
+                    (
+                        Propagation,
+                        Some(LargeRelError),
+                        16,
+                        0x3d80000000000000,
+                        0x0,
+                    ),
+                    (
+                        Propagation,
+                        Some(LargeRelError),
+                        16,
+                        0x3d80000000000000,
+                        0x0,
+                    ),
+                ],
+            },
+            Case {
+                // Every source kind: RZ and a negated register, f32
+                // immediates, IMM_DOUBLE and GENERIC +INF, GENERIC
+                // -QNAN, a c[bank] parameter, and a negated RZ.
+                name: "sources",
+                mode: ShadowMode::Full,
+                src: r#"
+.kernel k
+    S2R R0, SR_LANEID ;
+    I2F R7, R0 ;
+    MOV32I R1, 0x3f800000 ;
+    MOV32I R4, 0x30000000 ;
+    FADD R1, R1, R4 ;
+    FADD R2, RZ, -R1 ;
+    FADD R3, R2, 1.0 ;
+    FMUL R5, R3, +INF ;
+    FADD R6, R3, +INF ;
+    FMNMX R8, R3, -QNAN, PT ;
+    FMUL R9, R1, c[0x0][0x160] ;
+    FADD R10, R9, -3.0 ;
+    FADD R11, R7, -RZ ;
+    FMUL R12, R11, -R7 ;
+    EXIT ;
+"#,
+                params: vec![ParamValue::F32(3.0)],
+                generic_inf: &[8],
+                comparisons: 320,
+                findings: &[
+                    (Appearance, Some(Cancellation), 0, 0x0, 0xbe00000000000000),
+                    (Disappearance, None, 0, 0xffc00000, 0xfff0000000000000),
+                    (Disappearance, None, 0, 0x7f800000, 0x7ff0000000000000),
+                    (Propagation, Some(LargeRelError), 0, 0x0, 0xbe00000000000000),
+                    (Appearance, Some(Cancellation), 0, 0x0, 0x3e18000000000000),
+                ],
+            },
+            Case {
+                // R3 diverges everywhere, is overwritten un-shadowed,
+                // then rewritten divergently on lanes 16..31 only. The
+                // full-mask FMUL must see those lanes' new shadow and
+                // heal lanes 0..15.
+                name: "partial-then-full",
+                mode: ShadowMode::Full,
+                src: r#"
+.kernel k
+    S2R R0, SR_LANEID ;
+    ISETP.GE.AND P0, R0, 0x10 ;
+    MOV32I R1, 0x3f800000 ;
+    MOV32I R4, 0x30000000 ;
+    FADD R1, R1, R4 ;
+    MOV32I R5, 0x40000000 ;
+    MOV32I R6, 0x31000000 ;
+    FADD R5, R5, R6 ;
+    FADD R3, R5, -2.0 ;
+    MOV32I R3, 0x40400000 ;
+    @P0 FADD R3, R1, -1.0 ;
+    FMUL R8, R3, 2.0 ;
+    EXIT ;
+"#,
+                params: vec![],
+                generic_inf: &[],
+                comparisons: 144,
+                findings: &[
+                    (Appearance, Some(Cancellation), 0, 0x0, 0x3e20000000000000),
+                    (Appearance, Some(Cancellation), 16, 0x0, 0x3e00000000000000),
+                    (
+                        Propagation,
+                        Some(LargeRelError),
+                        16,
+                        0x0,
+                        0x3e10000000000000,
+                    ),
+                ],
+            },
+        ];
+        for c in cases {
+            let mut k = assemble_kernel(c.src).unwrap();
+            for &i in c.generic_inf {
+                *k.instrs[i].operands.last_mut().unwrap() = Operand::Generic("+INF".into());
+            }
+            let cfg = ShadowConfig {
+                mode: c.mode,
+                ..ShadowConfig::default()
+            };
+            let rep = run_kernel(cfg, k, c.params);
+            assert_eq!(rep.comparisons, c.comparisons, "{}", c.name);
+            assert_eq!(pinned(&rep), c.findings, "{}", c.name);
+        }
     }
 }

@@ -246,11 +246,12 @@ pub struct Pass<T: NvbitTool> {
 
 /// Prepare `program`'s plan, load `tool` into a fresh NVBit context, and
 /// launch the plan — the one plan driver behind the suite runner, fault
-/// injection and the coach. With `Some(watchdog)` the run is cut off (and
-/// reported hung) past that total budget, and the result is always
-/// `Some`. With `None` the budget is the running `hang_budget` of the
-/// plain cycles so far, and a pass over it — or over the simulator's own
-/// watchdog — is abandoned: `Ok(None)`.
+/// injection and the coach. With `Some(watchdog)` the run is cut off
+/// past that total budget and marked `hung` (the caller decides whether
+/// that deserves a warning), and the result is always `Some`. With
+/// `None` the budget is the running `hang_budget` of the plain cycles so
+/// far, and a pass over it — or over the simulator's own watchdog — is
+/// abandoned: `Ok(None)`.
 pub fn run_plan_with_tool<T: NvbitTool>(
     program: &Program,
     cfg: &RunnerConfig,
@@ -294,17 +295,13 @@ pub fn run_plan_with_tool<T: NvbitTool>(
             Err(e) => return Err(e),
         };
         if over {
-            let Some(budget) = watchdog else {
+            if watchdog.is_none() {
                 fpx_debug!(
                     "{}: over the running hang budget; re-running against a measured baseline",
                     program.name
                 );
                 return Ok(None);
-            };
-            fpx_warn!(
-                "{}: run hung (exceeded {budget} cycle budget); cutting off",
-                program.name
-            );
+            }
             hung = true;
             break;
         }
@@ -396,6 +393,12 @@ pub fn try_run_with_tool(
     let watchdog = hang_budget(base_cycles, cfg.hang_slowdown_limit);
     let (_, result) = run_tool(program, cfg, tool, Some(watchdog))?
         .expect("a run with a fixed budget is never abandoned");
+    if result.hung {
+        fpx_warn!(
+            "{}: run hung (exceeded {watchdog} cycle budget); cutting off",
+            program.name
+        );
+    }
     observe_reports(&cfg.obs, &result);
     Ok(result)
 }
